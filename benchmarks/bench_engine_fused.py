@@ -4,8 +4,8 @@ The fused engine is the ``fuse`` stage's reason to exist: the compiled
 structure *is* a static CSD shift-add schedule, so executing the
 schedule directly (no cycle loop, no per-cycle allocation) should beat
 even the bit-plane gate engine by an order of magnitude while staying
-bit-exact.  This benchmark measures all three batch engines on the
-64x64 CSD reference matrix (the same design point as
+bit-exact.  This benchmark measures the fused and bit-plane engines on
+the 64x64 CSD reference matrix (the same design point as
 ``bench_simulator_throughput.py``) at batch = 64 and writes the record
 to ``BENCH_engine_fused.json`` at the repo root.
 
@@ -54,7 +54,7 @@ def _best_of(fn, repeats):
 
 
 def test_fused_engine_comparison(compiled):
-    """Batched vs bit-plane vs fused at batch=64, recorded to JSON."""
+    """Bit-plane vs fused at batch=64, recorded to JSON."""
     fast, matrix = compiled
     rng = np.random.default_rng(11)
     vectors = rng.integers(-128, 128, size=(BATCH, 64))
@@ -66,7 +66,7 @@ def test_fused_engine_comparison(compiled):
     assert fuse_delta.get("fuse") == 1
 
     timings = {}
-    for engine, repeats in (("batched", 3), ("bitplane", 5), ("fused", 20)):
+    for engine, repeats in (("bitplane", 5), ("fused", 20)):
         result = fast.multiply_batch(vectors, engine=engine)  # warm + check
         assert np.array_equal(result, golden), engine
         timings[engine] = _best_of(
@@ -79,7 +79,6 @@ def test_fused_engine_comparison(compiled):
         "matrix": "64x64 csd, ~50% element sparsity, s8 inputs",
         "batch": BATCH,
         "engines": {
-            "batched": "dense batch axis over the gate-level cycle loop",
             "bitplane": "64 uint64-packed lanes per word, one cycle loop",
             "fused": "static CSD shift-add schedule, no cycle loop",
         },

@@ -1,17 +1,17 @@
 """Measured simulator throughput: object vs vectorized vs bit-plane.
 
 Real wall-clock numbers for cycle-accurate products on a 64x64
-CSD-recoded matrix — the evidence behind shipping three simulation
-engines.  Two kinds of measurement:
+CSD-recoded matrix — the evidence behind shipping the gate-level
+simulation engines.  Two kinds of measurement:
 
 * the original pytest-benchmark single-product comparison (object
   engine vs vectorized engine);
 * a batched comparison at batch = 64 of the seed per-vector loop
-  (``engine="scalar"``), the dense batch axis (``engine="batched"``)
-  and the uint64 bit-plane packing (``engine="bitplane"``), whose
-  results are written to ``BENCH_simulator_batched.json`` at the repo
-  root.  The bit-plane engine must beat the per-vector loop by >= 10x —
-  that is the asserted contract, not a hope.
+  (``engine="scalar"``) and the uint64 bit-plane packing
+  (``engine="bitplane"``), whose results are written to
+  ``BENCH_simulator_batched.json`` at the repo root.  The bit-plane
+  engine must beat the per-vector loop by >= 10x — that is the asserted
+  contract, not a hope.
 
 Run the quick batched comparison alone with::
 
@@ -71,14 +71,14 @@ def _best_of(fn, repeats=3):
 
 
 def test_batched_engine_comparison(compiled):
-    """Scalar loop vs dense batch vs bit-plane at batch=64, recorded to JSON."""
+    """Scalar loop vs bit-plane at batch=64, recorded to JSON."""
     __, fast, matrix, __, __ = compiled
     rng = np.random.default_rng(11)
     vectors = rng.integers(-128, 128, size=(BATCH, 64))
     golden = vectors @ matrix
 
     timings = {}
-    for engine, repeats in (("scalar", 2), ("batched", 3), ("bitplane", 5)):
+    for engine, repeats in (("scalar", 2), ("bitplane", 5)):
         result = fast.multiply_batch(vectors, engine=engine)  # warm + check
         assert np.array_equal(result, golden), engine
         timings[engine] = _best_of(
@@ -86,22 +86,20 @@ def test_batched_engine_comparison(compiled):
             repeats=repeats,
         )
 
-    speedup_batched = timings["scalar"] / timings["batched"]
     speedup_bitplane = timings["scalar"] / timings["bitplane"]
     record = {
         "matrix": "64x64 csd, ~50% element sparsity, s8 inputs",
         "batch": BATCH,
         "engines": (
-            "gate-level engines scalar/batched/bitplane measured here; the "
-            "fourth engine (fused, the cycle-loop-free shift-add schedule) "
-            "is measured in BENCH_engine_fused.json"
+            "gate-level engines scalar/bitplane measured here; the fused "
+            "engine (the cycle-loop-free shift-add schedule) is measured in "
+            "BENCH_engine_fused.json"
         ),
         "seconds": {k: round(v, 6) for k, v in timings.items()},
         "products_per_second": {
             k: round(BATCH / v, 1) for k, v in timings.items()
         },
         "speedup_vs_scalar_loop": {
-            "batched": round(speedup_batched, 2),
             "bitplane": round(speedup_bitplane, 2),
         },
     }

@@ -55,7 +55,7 @@ Frame types
              ``span_id`` (see :mod:`repro.obs.tracing`).
 ``FAULT``    replace (``action="set"``) or drop (``action="clear"``)
              the connection's fault-override set — the network form of
-             the per-call ``overrides`` the process backend ships.
+             :meth:`FastCircuit.multiply_batch`'s per-call ``overrides``.
 ``STATS``    request the server's counters; answered with ``OK``.
 ``OK``       generic success (meta carries the reply body).
 ``ERROR``    failure; meta carries ``error`` (a stable token) and

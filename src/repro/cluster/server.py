@@ -1,7 +1,6 @@
 """`ShardServer`: one network host of a sharded spatial multiplier.
 
-The process-shard pattern (ship the kernel once, stream batches) lifted
-onto a socket: an asyncio TCP server that
+Ship the kernel once, stream batches: an asyncio TCP server that
 
 * **loads kernels by content digest** from a shared
   :class:`~repro.serve.cache.CompileCache` artifact store
@@ -13,8 +12,7 @@ onto a socket: an asyncio TCP server that
   overrides are active (and whenever the client pins a gate engine);
 * **replays faults deterministically**: FAULT frames install the exact
   override schedule :meth:`FastCircuit.fault_overrides` produces, so a
-  client-side fault campaign stays bit-exact across the network, as it
-  does across the process boundary;
+  client-side fault campaign stays bit-exact across the network;
 * answers STATS with its counters (loads, executes, per-engine batches,
   store statistics) for fleet dashboards.
 

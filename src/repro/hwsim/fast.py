@@ -1,4 +1,4 @@
-"""Vectorized and bit-plane-batched gate-level simulation engines.
+"""Vectorized and bit-plane gate-level simulation engines.
 
 The repository ships four ways to execute one compiled netlist, each
 bit-exact with the others (equivalence is asserted by tests on random
@@ -9,12 +9,11 @@ matrices, so any engine can stand in for any other):
   dumps and fault injection experiments; slowest by two to three orders
   of magnitude.
 * **vectorized engine** (:class:`FastCircuit`, ``multiply`` /
-  ``multiply_batch(engine="batched")``) — the same netlist compiled to
+  ``multiply_batch(engine="scalar")``) — the same netlist compiled to
   index arrays; every component *class* updates with a handful of numpy
-  ops per cycle.  ``multiply_batch(engine="batched")`` adds a leading
-  batch axis so ``B`` independent input vectors stream through the same
-  compiled structure in one cycle loop — the paper's sequential-batching
-  wrapper collapsed into a single simulation pass.
+  ops per cycle, one vector at a time exactly as the paper's SRAM
+  wrapper streams them.  It is the gate-level oracle the faster engines
+  are checked against.
 * **bit-plane engine** (``multiply_batch(engine="bitplane")``, the
   default) — up to 64 batch lanes are packed into each ``uint64`` word
   ("bit-planes"), so one bitwise numpy op per component class per cycle
@@ -45,7 +44,7 @@ serializable artifact at each boundary::
 :func:`lower` extracts the flat index/opcode arrays the engines actually
 execute into a :class:`LoweredKernel` — plain numpy arrays plus a few
 scalars, with **no reference to component objects** — so a kernel can be
-pickled to a worker process or persisted to disk
+shipped to a shard server or persisted to disk
 (:func:`repro.core.serialize.kernel_to_npz`) and re-executed without
 ever rebuilding the netlist.  ``FastCircuit(kernel)`` is the execution
 half; ``FastCircuit.from_compiled(circuit)`` remains the one-step
@@ -61,7 +60,7 @@ is fastest for the batch at hand.  Lowering snapshots any faults present
 on the netlist into the kernel (so persisted faulty kernels stay
 faulty), while a :class:`FastCircuit` bound to a live netlist re-reads
 the injected fault set on every call; the snapshot/live distinction is
-also what lets process-level shards replay the parent's current faults
+also what lets remote shards replay the client's current faults
 deterministically (see ``overrides`` on :meth:`FastCircuit.multiply_batch`).
 """
 
@@ -140,13 +139,12 @@ class LoweredKernel:
     on the netlist at lowering time.
 
     A kernel is deliberately *dumb data* — numpy arrays and scalars — so
-    it is picklable (process-level sharding ships kernels to workers
-    once) and serializable (:mod:`repro.core.serialize` persists kernels
-    as ``.npz`` artifacts keyed by ``fingerprint``).  Execution is
-    ``FastCircuit(kernel)``.  ``fingerprint`` is the *plan* fingerprint:
-    equal fingerprints imply identical circuit structure, hence
-    bit-identical behaviour *between fault-free kernels* — the fault
-    snapshot is not part of the fingerprint (check :attr:`has_faults`;
+    it is picklable and serializable (:mod:`repro.core.serialize`
+    persists kernels as ``.npz`` artifacts keyed by ``fingerprint``).
+    Execution is ``FastCircuit(kernel)``.  ``fingerprint`` is the *plan*
+    fingerprint: equal fingerprints imply identical circuit structure,
+    hence bit-identical behaviour *between fault-free kernels* — the
+    fault snapshot is not part of the fingerprint (check :attr:`has_faults`;
     the compile cache refuses fault-bearing artifacts for exactly this
     reason).
     """
@@ -375,11 +373,11 @@ class FastCircuit:
       anywhere in the process; the kernel's fault snapshot applies.
     """
 
-    ENGINES = ("scalar", "batched", "bitplane", "fused")
+    ENGINES = ("scalar", "bitplane", "fused")
 
     #: Engines that honour injected faults / per-call overrides.  The
     #: fused engine is linear-only and raises when any fault is active.
-    FAULT_CAPABLE_ENGINES = ("scalar", "batched", "bitplane")
+    FAULT_CAPABLE_ENGINES = ("scalar", "bitplane")
 
     def __init__(
         self,
@@ -501,8 +499,8 @@ class FastCircuit:
 
         With a live netlist bound, the netlist's *current* injected
         faults are translated; a bare kernel replays its lowering-time
-        snapshot.  Either form is picklable and can be handed to a
-        worker's :meth:`multiply_batch` as ``overrides``.
+        snapshot.  Either form is plain data and can be handed to a
+        kernel-only engine's :meth:`multiply_batch` as ``overrides``.
         """
         if self.netlist is None:
             return self.kernel.static_overrides()
@@ -544,17 +542,17 @@ class FastCircuit:
 
         * ``"scalar"`` — per-vector loop over the dense engine (the seed
           behaviour; useful as a baseline and for debugging);
-        * ``"batched"`` — one cycle loop with a dense batch axis;
-        * ``"bitplane"`` — the same loop with 64 lanes packed per
-          ``uint64`` word (default; fastest gate-level engine);
+        * ``"bitplane"`` — one cycle loop over the whole batch with 64
+          lanes packed per ``uint64`` word (default; fastest gate-level
+          engine);
         * ``"fused"`` — the pre-fused static shift-add schedule, no
           cycle loop at all (:mod:`repro.hwsim.fused`).  Fault-free
           only: raises if faults or non-empty overrides are active.
 
         ``overrides`` replaces the fault set for this call only (the
         exact structure :meth:`fault_overrides` returns) — the hook
-        process-level shards use to replay the parent's live faults on a
-        worker that only holds the kernel.  ``None`` means "resolve the
+        remote shards use to replay the client's live faults on a
+        server that only holds the kernel.  ``None`` means "resolve the
         current faults now".
 
         All engines validate identically and produce bit-identical
@@ -582,8 +580,6 @@ class FastCircuit:
             return np.stack(
                 [self._run_dense(row[None, :], overrides)[0] for row in batch]
             )
-        if engine == "batched":
-            return self._run_dense(batch, overrides)
         return self._run_bitplane(batch, overrides)
 
     # -- shared helpers -----------------------------------------------------
@@ -620,7 +616,7 @@ class FastCircuit:
         sign = bits[:, :, -1].astype(object)
         return unsigned - sign * (1 << width)
 
-    # -- dense batched engine ------------------------------------------------
+    # -- dense engine --------------------------------------------------------
 
     @staticmethod
     def _fault_index_arrays(

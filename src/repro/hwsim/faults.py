@@ -91,7 +91,7 @@ def fault_campaign(
 
     ``engine`` picks the simulation engine per fault evaluation:
     ``"object"`` replays each vector through the object graph (the seed
-    behaviour), while ``"scalar"``/``"batched"``/``"bitplane"`` use
+    behaviour), while ``"scalar"``/``"bitplane"`` use
     :class:`~repro.hwsim.fast.FastCircuit`, which honours the injected
     faults and — with the default ``"bitplane"`` — evaluates the whole
     stimulus batch in one packed cycle loop per fault.  All engines are
@@ -128,7 +128,7 @@ def fault_campaign(
         raise ValueError(
             "engine='fused' executes the static shift-add schedule and cannot "
             "replay injected faults; campaigns run on the gate-level engines "
-            "('object', 'scalar', 'batched', 'bitplane')"
+            f"{('object',) + FastCircuit.FAULT_CAPABLE_ENGINES}"
         )
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
     if service is not None:

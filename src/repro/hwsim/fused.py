@@ -173,8 +173,7 @@ class FusedKernel:
     scale, and one segmented reduction — no cycle loop.
 
     Like :class:`~repro.hwsim.fast.LoweredKernel`, a fused kernel is
-    deliberately *dumb data*: picklable (process shards receive it once
-    at pool creation) and serializable
+    deliberately *dumb data*: picklable and serializable
     (:func:`repro.core.serialize.fused_to_npz`).  ``fingerprint`` is the
     plan fingerprint of the kernel it was fused from; fused kernels are
     always fault-free by construction (:func:`fuse` refuses fault

@@ -22,12 +22,14 @@ computes those products is independent, and selectable via ``engine``:
 * ``"object"`` — one object-graph product per vector (slowest; use when
   you also need per-cycle probes or VCD dumps of the run);
 * ``"scalar"`` — the vectorized engine, one vector at a time;
-* ``"batched"`` — one batched cycle loop over the whole SRAM;
 * ``"bitplane"`` (default) — the whole SRAM batch packed 64 lanes per
-  ``uint64`` word and streamed through one cycle loop.
+  ``uint64`` word and streamed through one cycle loop;
+* ``"fused"`` — the static shift-add schedule with no cycle loop
+  (fault-free only).
 
-All engines are bit-exact with each other (asserted by tests), including
-under injected faults, so the default is simply the fastest one.
+All engines are bit-exact with each other (asserted by tests), and the
+gate-level ones stay so under injected faults, so the default is the
+fastest engine that also honours faults.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ execution backends are provided:
   fused cycle-loop-free shift-add schedule while the circuit is
   fault-free and falls back to the cycle-accurate bit-plane simulation
   whenever faults are injected; pass an explicit gate engine
-  (``"bitplane"``/``"batched"``/``"scalar"``) to force stepping every
+  (``"bitplane"``/``"scalar"``) to force stepping every
   serial adder of the netlist each state update.
 
 Both backends also accept *batched* states (:meth:`HardwareESN.step_batch`

@@ -53,8 +53,6 @@ from repro.serve.telemetry import DeploymentTelemetry
 
 __all__ = ["Deployment", "MatMulService", "ServedESN"]
 
-_SERVED_BACKENDS = ("gates", "functional")
-
 
 @dataclass
 class Deployment:
@@ -101,14 +99,11 @@ class ServedESN(HardwareESN):
     """A :class:`HardwareESN` whose hardware products come from a deployment.
 
     Built by :meth:`MatMulService.deploy_esn`.  The base class is
-    constructed with ``backend="functional"`` (so no *monolithic* gate
-    circuit is compiled — the deployment's shards are the circuit);
-    ``served_backend`` selects what actually executes each product:
-
-    * ``"gates"`` — the sharded bit-plane engine, cycle-accurate;
-    * ``"functional"`` — the multiplier's exact integer path (bit-exact
-      with the gates by the library's cross-validation; useful when a
-      long rollout only needs the numbers, not the cycle accounting).
+    constructed with ``backend="functional"`` so no *monolithic* gate
+    circuit is compiled: the deployment's shards are the circuit, and
+    every product runs through them on the deployment's engine (by
+    default ``"auto"``: fused while fault-free, the bit-plane gate engine
+    under injected faults).
     """
 
     def __init__(
@@ -116,18 +111,12 @@ class ServedESN(HardwareESN):
         esn: IntegerESN,
         sharded: ShardedMultiplier,
         telemetry: DeploymentTelemetry,
-        served_backend: str = "gates",
         scheme: str = "csd",
         include_input: bool = False,
         input_quant_width: int = 8,
         plan=None,
         engine: str = "auto",
     ) -> None:
-        if served_backend not in _SERVED_BACKENDS:
-            raise ValueError(
-                f"served_backend must be one of {_SERVED_BACKENDS}, "
-                f"got {served_backend!r}"
-            )
         super().__init__(
             esn,
             scheme=scheme,
@@ -136,7 +125,6 @@ class ServedESN(HardwareESN):
             input_quant_width=input_quant_width,
             plan=plan,
         )
-        self.served_backend = served_backend
         self._sharded = sharded
         self._telemetry = telemetry
         self._engine = engine
@@ -144,12 +132,8 @@ class ServedESN(HardwareESN):
     def _hardware_multiply(self, vector: np.ndarray) -> np.ndarray:
         arr = np.asarray(vector)
         batch = arr if arr.ndim == 2 else arr[None, :]
-        if self.served_backend == "gates":
-            effective, out = _resolved_multiply(self._sharded, self._engine, batch)
-            self._telemetry.record_batch(batch.shape[0], engine=effective)
-        else:
-            out = self.multiplier.multiply_batch(batch)
-            self._telemetry.record_batch(batch.shape[0])
+        effective, out = _resolved_multiply(self._sharded, self._engine, batch)
+        self._telemetry.record_batch(batch.shape[0], engine=effective)
         self._telemetry.record_products(batch.shape[0])
         return out if arr.ndim == 2 else out[0]
 
@@ -317,8 +301,8 @@ class MatMulService:
     ) -> Deployment:
         """Compile (through the cache) and register one served matrix.
 
-        ``backend`` selects the shard executor (``"thread"``,
-        ``"process"``, or ``"remote"``; see
+        ``backend`` selects the shard executor (``"thread"`` or
+        ``"remote"``; see
         :class:`~repro.serve.shards.ShardedMultiplier`), defaulting to
         the service-wide value.  Remote deployments take the fleet
         ``endpoints``, artifact ``store``, and ``request_timeout_s``
@@ -446,7 +430,6 @@ class MatMulService:
         include_input: bool = False,
         input_quant_width: int = 8,
         scheme: str = "csd",
-        served_backend: str = "gates",
         shards: int | None = None,
         lut_budget: int | None = None,
         backend: str | None = None,
@@ -488,7 +471,6 @@ class MatMulService:
             esn,
             deployment.sharded,
             deployment.telemetry,
-            served_backend=served_backend,
             scheme=scheme,
             include_input=include_input,
             input_quant_width=input_quant_width,
@@ -862,8 +844,8 @@ class MatMulService:
         """Shut the service down: reject queued work, then stop executors.
 
         Requests still coalescing in a deployment's micro-batcher are
-        failed with a clear error *before* its executor (thread pool,
-        process pools, or remote connections) goes away — a closing
+        failed with a clear error *before* its executor (thread pool or
+        remote connections) goes away — a closing
         service must never leave a caller awaiting a future no batch
         will ever resolve, and must never dispatch into a dead executor.
         Remote deployments additionally close their shard sockets, so

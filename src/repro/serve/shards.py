@@ -17,44 +17,27 @@ concurrently.  Results are bit-exact with the monolithic circuit —
 asserted by the serve test suite across sparsities, widths, recoding
 schemes, backends, and injected faults.
 
-Three execution backends:
+Two execution backends:
 
 * ``backend="thread"`` (default) — one thread per shard over the shared
-  bit-plane engine.  Zero setup cost, but numpy releases the GIL only
+  compiled engine.  Zero setup cost, but numpy releases the GIL only
   partially, so parallelism saturates early.
-* ``backend="process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  whose workers receive each shard's :class:`~repro.hwsim.fast.LoweredKernel`
-  (and, when available, its pre-fused shift-add schedule) **once at pool
-  creation** (kernels are plain arrays, hence picklable — the payoff of
-  the staged compile pipeline) and rebuild a bare ``FastCircuit`` from
-  them.  Per call, the input batch is published through one
-  :class:`multiprocessing.shared_memory.SharedMemory` block (no
-  per-shard copies of the batch cross the pipe), each shard's *current*
-  fault overrides — tiny index/value lists — ride along (so live fault
-  injection on a shard's netlist is replayed deterministically in the
-  worker and stays bit-exact with the thread backend), and results come
-  back through a *second* shared-memory block: each worker writes its
-  column slice in place, so no result rows cross the pipe either
-  (shards with >62-bit results return the self-describing ``"bigint"``
-  payload of :func:`repro.core.serialize.array_to_payload` — exact
-  Python integers cannot live in shared memory, and object arrays do
-  not cross process boundaries here).
-* ``backend="remote"`` — the process-backend pattern over sockets
-  (:mod:`repro.cluster`): each shard is bound to a
-  :class:`~repro.cluster.client.RemoteShard` endpoint, which LOADs the
-  shard's kernel **by content digest** from the shared artifact store
-  (``endpoints=`` names the fleet; the store comes from the cache's
-  directory or ``store=``) and then streams batches as binary frames.
-  Live faults ride along as FAULT-frame override schedules exactly as
-  the process backend ships them, so campaigns stay bit-exact over the
-  network.  A shard whose host times out is retried once on a fresh
-  connection and then served *locally* (the compiled engine is still in
-  this process) — degraded latency, never a failed batch.  Recovery is
-  automatic: once the link's jittered-backoff deadline
-  (:mod:`repro.cluster.health`) passes, the next batch doubles as a
-  revival probe and a host that answers is promoted straight back to
-  remote serving; ``RemoteShard.revive()`` remains as the manual
-  fast path.
+* ``backend="remote"`` — multi-process execution over sockets
+  (:mod:`repro.cluster`; a loopback fleet is the one-host form): each
+  shard is bound to a :class:`~repro.cluster.client.RemoteShard`
+  endpoint, which LOADs the shard's kernel **by content digest** from
+  the shared artifact store (``endpoints=`` names the fleet; the store
+  comes from the cache's directory or ``store=``) and then streams
+  batches as binary frames.  Live faults ride along as FAULT-frame
+  override schedules (the shard's per-call ``fault_overrides``
+  snapshot), so campaigns stay bit-exact over the network.  A shard
+  whose host times out is retried once on a fresh connection and then
+  served *locally* (the compiled engine is still in this process) —
+  degraded latency, never a failed batch.  Recovery is automatic: once
+  the link's jittered-backoff deadline (:mod:`repro.cluster.health`)
+  passes, the next batch doubles as a revival probe and a host that
+  answers is promoted straight back to remote serving;
+  ``RemoteShard.revive()`` remains as the manual fast path.
 
 Engine selection: every execution method takes ``engine``, defaulting
 to ``"auto"`` — the fused cycle-loop-free engine when no shard has live
@@ -68,19 +51,17 @@ from __future__ import annotations
 import pathlib
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.core.bits import signed_range
 from repro.core.plan import plan_matrix
-from repro.core.serialize import array_from_payload, array_to_payload
 from repro.core.tiling import plan_column_tiles
 from repro.hwsim.builder import CompiledCircuit, build_circuit
 from repro.hwsim.codegen import generate_source
-from repro.hwsim.fast import FastCircuit, LoweredKernel
+from repro.hwsim.fast import FastCircuit
 from repro.hwsim.fused import select_variant
 from repro.serve.cache import CompileCache, compile_key, persist_artifacts
 
@@ -92,7 +73,7 @@ __all__ = [
     "SERVE_ENGINES",
 ]
 
-SHARD_BACKENDS = ("thread", "process", "remote")
+SHARD_BACKENDS = ("thread", "remote")
 
 #: Engines a deployment may be pinned to: ``"auto"`` (fused when
 #: fault-free, bitplane otherwise) plus every FastCircuit engine.
@@ -137,80 +118,8 @@ class Shard:
         return self.stop - self.start
 
     @property
-    def kernel(self) -> LoweredKernel:
-        return self.fast.kernel
-
-    @property
     def digest(self) -> str:
         return self.fast.kernel.fingerprint
-
-
-# -- process-backend worker side ---------------------------------------------
-#
-# Each shard owns a single-worker pool whose process holds exactly that
-# shard's bare FastCircuit, built from the kernel shipped through the
-# pool initializer — total resident kernel/engine state is O(shards),
-# not O(shards^2) as an all-kernels-to-all-workers pool would be.
-# Workers never see a netlist, a plan, or a matrix: kernels are the
-# deployment unit.
-
-_WORKER_FAST: FastCircuit | None = None
-
-
-def _process_worker_init(kernel: LoweredKernel, fused, codegen_source=None) -> None:
-    """Bind this worker to its shard's kernel (and fused schedule).
-
-    ``fused`` is the shard's pre-fused :class:`FusedKernel` when the
-    parent had one (compile-cache deployments always do), shipped once
-    here so ``engine="fused"`` calls never re-fuse in the worker; a
-    worker given ``None`` fuses lazily on first fused execution.
-    ``codegen_source`` likewise ships the parent's generated executor
-    source (a plain string) so sparse shards never re-run the
-    ``codegen`` stage in the worker.
-    """
-    global _WORKER_FAST
-    _WORKER_FAST = FastCircuit(kernel, fused=fused, codegen_source=codegen_source)
-
-
-def _process_worker_run(
-    shm_name: str,
-    shape: tuple[int, int],
-    engine: str,
-    overrides: tuple[list, dict],
-    out_name: str,
-    out_cols: int,
-    col_range: tuple[int, int],
-) -> tuple[tuple[dict, bytes] | None, float]:
-    """Execute this worker's shard against the shared-memory input batch.
-
-    The result's column slice is written straight into the parent's
-    shared-memory output block (``out_name``, shape ``(batch,
-    out_cols)`` int64) — nothing crosses the pipe but accounting.
-    Shards whose results exceed int64 (``result_width > 62``) return
-    their columns as the self-describing ``(meta, blob)`` payload of
-    :func:`array_to_payload` instead — fixed-width ``"bigint"`` limbs,
-    the same form the cluster wire uses, never a pickled object array.
-    Returns ``(payload or None, busy_seconds)`` so the parent keeps the
-    same per-shard utilization accounting as the thread backend.
-    """
-    start = time.perf_counter()
-    shm = shared_memory.SharedMemory(name=shm_name)
-    out_shm = shared_memory.SharedMemory(name=out_name)
-    payload = None
-    try:
-        batch = np.ndarray(shape, dtype=np.int64, buffer=shm.buf)
-        out = _WORKER_FAST.multiply_batch(
-            batch, engine=engine, overrides=overrides
-        )
-        if out.dtype == np.int64:
-            dest = np.ndarray((shape[0], out_cols), dtype=np.int64, buffer=out_shm.buf)
-            dest[:, col_range[0] : col_range[1]] = out
-        else:
-            payload = array_to_payload(out)
-    finally:
-        shm.close()
-        out_shm.close()
-    return payload, time.perf_counter() - start
 
 
 class ShardedMultiplier:
@@ -228,11 +137,9 @@ class ShardedMultiplier:
         cache: optional :class:`CompileCache`; shard compiles go through
             it so identical shards across deployments are compiled once
             (and, with a warm kernel store, never built at all).
-        backend: ``"thread"`` (default), ``"process"``, or ``"remote"``;
-            see the module docstring for the trade-offs.
-        max_workers: thread-pool width (default: one thread per shard).
-            The process backend always runs one worker per shard — each
-            worker holds exactly its own shard's kernel.
+        backend: ``"thread"`` (default) or ``"remote"``; see the module
+            docstring for the trade-offs.  Either way a multi-shard
+            deployment runs one pool thread per shard.
         endpoints: remote backend only — ``[(host, port), ...]`` shard
             servers; shard ``k`` binds to endpoint ``k % len(endpoints)``.
         store: remote backend only — the shared artifact directory the
@@ -284,7 +191,6 @@ class ShardedMultiplier:
         tree_style: str = "compact",
         cache: CompileCache | None = None,
         backend: str = "thread",
-        max_workers: int | None = None,
         endpoints: list[tuple[str, int]] | None = None,
         store: str | None = None,
         request_timeout_s: float = 5.0,
@@ -394,85 +300,69 @@ class ShardedMultiplier:
             self.shards.append(
                 Shard(index=k, start=start, stop=stop, circuit=circuit, fast=fast)
             )
-        workers = max_workers if max_workers is not None else len(self.shards)
-        self._pool: Executor | None = None
-        self._shard_pools: list[ProcessPoolExecutor] = []
+        self._pool: ThreadPoolExecutor | None = None
         self._remotes: list = []
-        if backend == "process":
-            # One single-worker pool per shard: each shard's kernel
-            # crosses the process boundary exactly once, into exactly one
-            # worker.  (``max_workers`` applies to the thread backend;
-            # process parallelism is one worker per shard by design.)
-            self._shard_pools = [
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_process_worker_init,
-                    initargs=(shard.kernel, shard.fast.fused, shard.fast.codegen_source),
-                )
-                for shard in self.shards
-            ]
-        else:
-            if backend == "remote":
-                # Imported lazily: the serve layer stays importable (and
-                # thread/process deploys stay zero-cost) without the
-                # cluster subsystem.
-                from repro.cluster.client import ClusterClient
+        if backend == "remote":
+            # Imported lazily: the serve layer stays importable (and
+            # thread deploys stay zero-cost) without the cluster
+            # subsystem.
+            from repro.cluster.client import ClusterClient
 
-                client = ClusterClient(
-                    endpoints,
-                    timeout_s=request_timeout_s,
-                    probe_backoff=probe_backoff,
-                    clock=probe_clock,
-                    recorder=recorder,
-                    auth_secret=auth_secret,
-                    trip_threshold=trip_threshold,
-                )
-                for k, shard in enumerate(self.shards):
-                    self._remotes.append(
-                        client.shard_handle(
-                            k,
-                            {
-                                "matrix_digest": compile_key(
-                                    arr[:, shard.start : shard.stop],
-                                    input_width,
-                                    scheme,
-                                    tree_style,
-                                ).matrix_digest,
-                                "input_width": self.input_width,
-                                "scheme": scheme,
-                                "tree_style": tree_style,
-                                "start": shard.start,
-                                "stop": shard.stop,
-                                "fingerprint": shard.fast.kernel.fingerprint,
-                            },
-                        )
+            client = ClusterClient(
+                endpoints,
+                timeout_s=request_timeout_s,
+                probe_backoff=probe_backoff,
+                clock=probe_clock,
+                recorder=recorder,
+                auth_secret=auth_secret,
+                trip_threshold=trip_threshold,
+            )
+            for k, shard in enumerate(self.shards):
+                self._remotes.append(
+                    client.shard_handle(
+                        k,
+                        {
+                            "matrix_digest": compile_key(
+                                arr[:, shard.start : shard.stop],
+                                input_width,
+                                scheme,
+                                tree_style,
+                            ).matrix_digest,
+                            "input_width": self.input_width,
+                            "scheme": scheme,
+                            "tree_style": tree_style,
+                            "start": shard.start,
+                            "stop": shard.stop,
+                            "fingerprint": shard.fast.kernel.fingerprint,
+                        },
                     )
-                # Deploy-time warmup: bind and LOAD each link now, so a
-                # misconfigured store fails the deploy loudly while a
-                # merely-unreachable host stays a soft (fallback) state.
-                # Concurrent, so a deploy over dead hosts costs one
-                # connect timeout, not one per shard; on a refusal every
-                # already-opened socket is closed before the raise.
-                with ThreadPoolExecutor(
-                    max_workers=max(1, len(self._remotes)),
-                    thread_name_prefix="repro-shard-warm",
-                ) as warmers:
-                    outcomes = []
-                    for remote, future in [
-                        (r, warmers.submit(r.warm)) for r in self._remotes
-                    ]:
-                        try:
-                            future.result()
-                        except Exception as exc:  # noqa: BLE001 - re-raised
-                            outcomes.append((remote, exc))
-                if outcomes:
-                    for remote in self._remotes:
-                        remote.close()
-                    raise outcomes[0][1]
-            if len(self.shards) > 1:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=max(1, workers), thread_name_prefix="repro-shard"
                 )
+            # Deploy-time warmup: bind and LOAD each link now, so a
+            # misconfigured store fails the deploy loudly while a
+            # merely-unreachable host stays a soft (fallback) state.
+            # Concurrent, so a deploy over dead hosts costs one connect
+            # timeout, not one per shard; on a refusal every
+            # already-opened socket is closed before the raise.
+            with ThreadPoolExecutor(
+                max_workers=max(1, len(self._remotes)),
+                thread_name_prefix="repro-shard-warm",
+            ) as warmers:
+                outcomes = []
+                for remote, future in [
+                    (r, warmers.submit(r.warm)) for r in self._remotes
+                ]:
+                    try:
+                        future.result()
+                    except Exception as exc:  # noqa: BLE001 - re-raised
+                        outcomes.append((remote, exc))
+            if outcomes:
+                for remote in self._remotes:
+                    remote.close()
+                raise outcomes[0][1]
+        if len(self.shards) > 1:
+            self._pool = ThreadPoolExecutor(
+                max_workers=len(self.shards), thread_name_prefix="repro-shard"
+            )
         self._stats_lock = threading.Lock()
         # In-flight batch accounting for drain(): the swap protocol
         # needs "no batch is executing against the old matrix" as a
@@ -647,8 +537,7 @@ class ShardedMultiplier:
 
         The shard's *current* live-fault schedule is snapshotted here
         and synchronized to the server (a FAULT frame only when it
-        changed), mirroring the process backend's per-call override
-        shipping.  A :class:`~repro.cluster.client.RemoteShardError`
+        changed).  A :class:`~repro.cluster.client.RemoteShardError`
         (connect/timeout twice, or an already-unhealthy link) degrades
         to local execution on the shard's in-process engine — same
         kernel, same overrides, bit-identical result.
@@ -724,64 +613,6 @@ class ShardedMultiplier:
             self._profile("shard_dispatch", elapsed, label)
         return out
 
-    def _run_process_backend(self, batch: np.ndarray, engine: str) -> np.ndarray:
-        """All shards against one shared-memory copy of the batch.
-
-        Results travel back through a second shared-memory block that
-        every worker fills in place (its own column slice), so the
-        return pipe carries only timing accounting — except for >62-bit
-        shards, whose exact-integer columns are merged from their
-        pickled returns into an object-dtype result.
-        """
-        rows = batch.shape[0]
-        shm = shared_memory.SharedMemory(create=True, size=batch.nbytes)
-        out_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, rows * self.cols * 8)
-        )
-        try:
-            staged = np.ndarray(batch.shape, dtype=np.int64, buffer=shm.buf)
-            staged[:] = batch
-            futures = [
-                pool.submit(
-                    _process_worker_run,
-                    shm.name,
-                    batch.shape,
-                    engine,
-                    # Snapshot each shard's live faults; workers hold only
-                    # kernels, so the overrides are the fault channel.
-                    shard.fast.fault_overrides(),
-                    out_shm.name,
-                    self.cols,
-                    (shard.start, shard.stop),
-                )
-                for shard, pool in zip(self.shards, self._shard_pools)
-            ]
-            results = [f.result() for f in futures]
-            staged_out = np.ndarray(
-                (rows, self.cols), dtype=np.int64, buffer=out_shm.buf
-            )
-            merged = staged_out.copy()
-        finally:
-            shm.close()
-            shm.unlink()
-            out_shm.close()
-            out_shm.unlink()
-        wide_pieces = []
-        for shard, (payload, elapsed) in zip(self.shards, results):
-            self._record(shard, elapsed)
-            if self.profiler is not None:
-                self._profile(
-                    "shard_dispatch", elapsed, self._shard_label(shard, engine)
-                )
-            if payload is not None:
-                meta, blob = payload
-                wide_pieces.append((shard, array_from_payload(meta, blob)))
-        if wide_pieces:
-            merged = merged.astype(object)
-            for shard, out in wide_pieces:
-                merged[:, shard.start : shard.stop] = out
-        return merged
-
     def multiply_batch(
         self,
         vectors: np.ndarray,
@@ -821,20 +652,6 @@ class ShardedMultiplier:
                     s.fast.multiply_batch(batch, engine=engine) for s in self.shards
                 ]
                 return np.concatenate(pieces, axis=1)
-            if self.backend == "process":
-                if self.tracer is not None and trace is not None:
-                    # One span for the whole fan-out: worker processes
-                    # hold no tracer, so per-shard timing stays in
-                    # utilization() while the trace records the fan-out.
-                    with self.tracer.start_span(
-                        "shard_dispatch",
-                        parent=trace,
-                        backend="process",
-                        shards=self.shard_count,
-                        engine=self.executor_label(engine),
-                    ):
-                        return self._run_process_backend(batch, engine)
-                return self._run_process_backend(batch, engine)
             run = self._run_remote_shard if self.backend == "remote" else self._run_shard
             if self._pool is None:
                 pieces = [
@@ -951,9 +768,6 @@ class ShardedMultiplier:
         if self._pool is not None:
             self._pool.shutdown(wait=wait, cancel_futures=not wait)
             self._pool = None
-        for pool in self._shard_pools:
-            pool.shutdown(wait=wait, cancel_futures=not wait)
-        self._shard_pools = []
         for remote in self._remotes:
             remote.close()
         self._remotes = []

@@ -423,6 +423,22 @@ class TestFailureSemantics:
         finally:
             sock.close()
 
+    def test_unknown_engine_is_refused(self, fleet):
+        """A loaded link refuses an engine outside ``SERVE_ENGINES`` —
+        the removed ``batched`` gate engine included."""
+        from repro.cluster import RemoteFault
+        from repro.cluster.protocol import batch_frame
+
+        matrix = _matrix(16, shape=(10, 8))
+        vectors = _vectors(17, 2, 10)
+        with fleet.remote_service() as service:
+            handle = fleet.deploy_fleet(service, matrix, shards=1)
+            remote = handle.sharded._remotes[0]
+            with remote._lock:
+                conn = remote._ensure()
+                with pytest.raises(RemoteFault, match="unknown engine 'batched'"):
+                    conn.request(batch_frame(vectors, "batched"))
+
     def test_revive_reprobes_a_recovered_host(self, tmp_path):
         matrix = _matrix(14, shape=(10, 8))
         vectors = _vectors(15, 4, 10)

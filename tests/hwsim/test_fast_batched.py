@@ -1,6 +1,6 @@
-"""Equivalence and edge-case tests for the batched / bit-plane engines.
+"""Equivalence and edge-case tests for the scalar / bit-plane engines.
 
-The contract every test here enforces: the dense-batched and bit-plane
+The contract every test here enforces: the scalar (dense) and bit-plane
 paths of :class:`FastCircuit` are bit-exact with the object-graph
 ``Netlist`` simulator (and with the functional integer path of
 :class:`FixedMatrixMultiplier`) on arbitrary matrices, vectors, widths
@@ -25,7 +25,7 @@ from repro.reservoir.hw_esn import HardwareESN
 from repro.reservoir.quantize import quantize_esn
 from repro.reservoir.weights import random_input_weights, random_reservoir
 
-ENGINES = ("scalar", "batched", "bitplane")
+ENGINES = ("scalar", "bitplane")
 
 
 def compile_both(matrix, input_width=6, scheme="pn", tree_style="compact", seed=0):
@@ -51,7 +51,7 @@ def edge_biased_batch(rng, batch, rows, input_width):
 
 
 class TestEngineEquivalence:
-    """Scalar, batched, bit-plane, object and functional paths all agree."""
+    """Scalar, bit-plane, object and functional paths all agree."""
 
     @given(
         seed=st.integers(0, 2**16),
@@ -193,7 +193,7 @@ class TestBatchShapesAndValidation:
         vectors = edge_biased_batch(rng, 70, 5, 6)
         golden = vectors @ matrix
         assert np.array_equal(fast.multiply_batch(vectors, engine="bitplane"), golden)
-        assert np.array_equal(fast.multiply_batch(vectors, engine="batched"), golden)
+        assert np.array_equal(fast.multiply_batch(vectors, engine="scalar"), golden)
 
     def test_exactly_64_and_65_lanes(self, rng):
         matrix = rng.integers(-8, 8, size=(3, 3))
@@ -310,6 +310,10 @@ class TestFaultEquivalence:
         circuit, __ = self.build_faulty(rng)
         with pytest.raises(ValueError, match=r"'object', 'scalar'"):
             fault_campaign(circuit, np.zeros((1, 6)), engine="objcet")
+        with pytest.raises(
+            ValueError, match=r"engines \('object', 'scalar', 'bitplane'\)$"
+        ):
+            fault_campaign(circuit, np.zeros((1, 6)), engine="fused")
 
     def test_campaign_engines_agree(self, rng):
         circuit, __ = self.build_faulty(rng)
@@ -322,7 +326,7 @@ class TestFaultEquivalence:
                 rng=np.random.default_rng(3),
                 engine=engine,
             )
-            for engine in ("object", "scalar", "batched", "bitplane")
+            for engine in ("object", "scalar", "bitplane")
         }
         baseline = reports["object"]
         assert baseline["injected"] == 25
@@ -336,7 +340,7 @@ class TestSramWrapperEngines:
         circuit = build_circuit(plan_matrix(matrix, input_width=5))
         return SramWrapper(circuit, engine=engine), matrix
 
-    @pytest.mark.parametrize("engine", ["object", "scalar", "batched", "bitplane"])
+    @pytest.mark.parametrize("engine", ["object", "scalar", "bitplane", "fused"])
     def test_products_and_accounting_identical(self, rng, engine):
         wrapper, matrix = self.make(rng, engine)
         vectors = rng.integers(-16, 16, size=(7, 6))
@@ -365,7 +369,7 @@ class TestSramWrapperEngines:
         with pytest.raises(ValueError, match=r"'object', 'scalar'"):
             wrapper.run()
 
-    @pytest.mark.parametrize("engine", ["object", "scalar", "batched", "bitplane"])
+    @pytest.mark.parametrize("engine", ["object", "scalar", "bitplane", "fused"])
     def test_empty_sram_identical_across_engines(self, rng, engine):
         wrapper, __ = self.make(rng, engine)
         wrapper.load(np.zeros((0, 6), dtype=np.int64))

@@ -129,7 +129,7 @@ class TestFusedKernelValidation:
 
 
 class TestCrossEngineEquivalence:
-    """fused == bitplane == batched == scalar, across the design space."""
+    """fused == bitplane == scalar, across the design space."""
 
     @pytest.mark.parametrize("scheme", ["csd", "pn"])
     @pytest.mark.parametrize("sparsity", [0.3, 0.7, 0.95])
@@ -235,6 +235,6 @@ class TestFaultRefusal:
         )
 
     def test_engine_registries_include_fused(self):
-        assert FastCircuit.ENGINES == ("scalar", "batched", "bitplane", "fused")
-        assert ALL_ENGINES == ("object", "scalar", "batched", "bitplane", "fused")
+        assert FastCircuit.ENGINES == ("scalar", "bitplane", "fused")
+        assert ALL_ENGINES == ("object", "scalar", "bitplane", "fused")
         assert "fused" not in FastCircuit.FAULT_CAPABLE_ENGINES

@@ -10,9 +10,8 @@ The serve layer's contract for the cycle-loop-free engine:
 * a warm artifact store makes a ``use_cache=True`` deploy perform
   **zero** plan/build/lower/fuse stage executions (proved against
   :data:`repro.core.stages.STAGES`, not timings);
-* process-backend shards return results through shared memory (int64
-  column slices written in place; >62-bit shards fall back to pickled
-  exact integers).
+* a deployment mixing <=62-bit and >62-bit shards returns one exact
+  object-dtype result.
 """
 
 import asyncio
@@ -244,21 +243,10 @@ class TestWarmStartContract:
         )
 
 
-class TestProcessBackendResults:
-    def test_shared_memory_result_path_is_bit_exact(self):
-        matrix = _matrix(18, shape=(12, 10))
-        vectors = np.random.default_rng(19).integers(-128, 128, size=(5, 12))
-        with ShardedMultiplier(matrix, shards=3, backend="process") as sharded:
-            out = sharded.multiply_batch(vectors)  # auto -> fused in workers
-            assert out.dtype == np.int64
-            assert np.array_equal(out, vectors @ matrix)
-            # And on an explicit gate engine through the same result path.
-            assert np.array_equal(
-                sharded.multiply_batch(vectors, engine="bitplane"),
-                vectors @ matrix,
-            )
-
-    def test_wide_shards_fall_back_to_pickled_exact_integers(self):
+class TestShardResults:
+    def test_mixed_narrow_and_wide_shards_merge_exactly(self):
+        """One <=62-bit shard and one >62-bit shard: the int64 and exact
+        object column slices concatenate into one exact object result."""
         rng = np.random.default_rng(20)
         matrix = np.hstack(
             [
@@ -266,11 +254,9 @@ class TestProcessBackendResults:
                 rng.integers(-(2**18), 2**18, size=(30, 2)),  # wide columns
             ]
         )
-        with ShardedMultiplier(
-            matrix, shards=2, input_width=40, backend="process"
-        ) as sharded:
+        with ShardedMultiplier(matrix, shards=2, input_width=40) as sharded:
             widths = [s.fast.kernel.result_width for s in sharded.shards]
-            assert widths[0] <= 62 < widths[1]  # a genuinely mixed fleet
+            assert widths[0] <= 62 < widths[1]  # a genuinely mixed deployment
             vectors = rng.integers(-(2**30), 2**30, size=(3, 30))
             out = sharded.multiply_batch(vectors)
             assert out.dtype == object
@@ -282,7 +268,7 @@ class TestProcessBackendResults:
             assert [int(x) for x in out.ravel()] == golden
 
     def test_engine_registry(self):
-        assert SERVE_ENGINES == ("auto", "scalar", "batched", "bitplane", "fused")
+        assert SERVE_ENGINES == ("auto", "scalar", "bitplane", "fused")
         matrix = _matrix(21)
         with ShardedMultiplier(matrix, shards=2) as sharded:
             with pytest.raises(ValueError, match="engine"):

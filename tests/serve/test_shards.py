@@ -104,6 +104,20 @@ class TestShardedBitExactness:
         with pytest.raises(ValueError, match="not both"):
             ShardedMultiplier(matrix, shards=2, lut_budget=5000)
 
+    def test_rejects_unknown_backend(self):
+        matrix, _ = _workload(0.8, 8)
+        for backend in ("fpga", "process"):
+            with pytest.raises(ValueError, match="backend"):
+                ShardedMultiplier(matrix, shards=2, backend=backend)
+
+    def test_empty_batch_shape(self):
+        matrix, _ = _workload(0.8, 8)
+        with ShardedMultiplier(matrix, shards=2) as sharded:
+            out = sharded.multiply_batch(
+                np.zeros((0, matrix.shape[0]), dtype=np.int64)
+            )
+        assert out.shape == (0, matrix.shape[1])
+
     def test_rejects_wrong_vector_length(self):
         matrix, _ = _workload(0.8, 8)
         sharded = ShardedMultiplier(matrix, shards=2)
@@ -124,84 +138,10 @@ class TestShardedBitExactness:
         sharded.multiply_batch(vectors)
         util = sharded.utilization()
         assert util["shards"] == 2
+        assert util["backend"] == "thread"
         assert [u["calls"] for u in util["per_shard"]] == [1, 1]
         assert all(u["busy_s"] > 0 for u in util["per_shard"])
         sharded.close()
-
-
-class TestProcessBackend:
-    """backend="process": kernels ship to workers once, batches stream
-    through shared memory, and results stay bit-exact with the thread
-    backend and the monolith — the acceptance bar of the staged pipeline."""
-
-    @pytest.mark.parametrize("scheme", ["pn", "csd"])
-    @pytest.mark.parametrize("shards", [2, 3])
-    def test_bit_exact_vs_thread_and_monolith(self, scheme, shards):
-        matrix, vectors = _workload(0.6, 8, seed=shards)
-        mono = FastCircuit.from_compiled(
-            build_circuit(plan_matrix(matrix, input_width=8, scheme=scheme))
-        )
-        golden = mono.multiply_batch(vectors)
-        with ShardedMultiplier(
-            matrix, shards=shards, input_width=8, scheme=scheme, backend="thread"
-        ) as threaded, ShardedMultiplier(
-            matrix, shards=shards, input_width=8, scheme=scheme, backend="process"
-        ) as processed:
-            via_threads = threaded.multiply_batch(vectors)
-            via_processes = processed.multiply_batch(vectors)
-        assert np.array_equal(via_threads, golden)
-        assert np.array_equal(via_processes, golden)
-
-    def test_single_shard_process_backend(self):
-        matrix, vectors = _workload(0.8, 8)
-        with ShardedMultiplier(matrix, shards=1, backend="process") as sharded:
-            assert np.array_equal(sharded.multiply_batch(vectors), vectors @ matrix)
-
-    def test_per_shard_fault_replays_in_workers(self):
-        """Faults injected on the parent's shard netlist reach the worker
-        processes through per-call overrides: bit-exact with the same
-        fault on the thread backend, confined to the victim's columns."""
-        matrix, vectors = _workload(0.5, 8, seed=11)
-        golden = vectors @ matrix
-        with ShardedMultiplier(
-            matrix, shards=3, input_width=8, scheme="csd", backend="process"
-        ) as sharded:
-            victim = sharded.shards[1]
-            fault = inject_stuck_output(
-                victim.fast.netlist, victim.circuit.column_probes[0].src, 1
-            )
-            faulty = sharded.multiply_batch(vectors)
-            start, stop = victim.start, victim.stop
-            assert np.array_equal(faulty[:, :start], golden[:, :start])
-            assert np.array_equal(faulty[:, stop:], golden[:, stop:])
-            assert np.all(faulty[:, start] == -1)
-            assert not np.array_equal(faulty[:, start:stop], golden[:, start:stop])
-            # Reverting restores exactness — the workers see each call's
-            # current fault set, not a stale snapshot.
-            fault.revert()
-            assert np.array_equal(sharded.multiply_batch(vectors), golden)
-
-    def test_utilization_reports_backend_and_worker_time(self):
-        matrix, vectors = _workload(0.8, 8)
-        with ShardedMultiplier(matrix, shards=2, backend="process") as sharded:
-            sharded.multiply_batch(vectors)
-            util = sharded.utilization()
-        assert util["backend"] == "process"
-        assert [u["calls"] for u in util["per_shard"]] == [1, 1]
-        assert all(u["busy_s"] > 0 for u in util["per_shard"])
-
-    def test_rejects_unknown_backend(self):
-        matrix, _ = _workload(0.8, 8)
-        with pytest.raises(ValueError, match="backend"):
-            ShardedMultiplier(matrix, shards=2, backend="fpga")
-
-    def test_empty_batch_shape(self):
-        matrix, _ = _workload(0.8, 8)
-        with ShardedMultiplier(matrix, shards=2, backend="process") as sharded:
-            out = sharded.multiply_batch(
-                np.zeros((0, matrix.shape[0]), dtype=np.int64)
-            )
-        assert out.shape == (0, matrix.shape[1])
 
 
 class TestShardedFaults:
