@@ -32,7 +32,8 @@ Two contracts are asserted:
 Results are written to ``BENCH_obs_overhead.json`` at the repo root,
 including the absolute per-request instrumentation cost (µs), which is
 the number to watch — the ratio scales with how much work each
-request carries.
+request carries — and each interleaved round's traced/untraced ratio
+with their median, which show how far host noise spreads the ratio.
 
 Run::
 
@@ -133,6 +134,7 @@ def test_obs_overhead(tmp_path):
                 _wave(untraced_service, untraced_handle, vectors, golden)
                 _wave(traced_service, traced_handle, vectors, golden)
             untraced_s = traced_s = float("inf")
+            round_ratios = []
             pair = (
                 (untraced_service, untraced_handle),
                 (traced_service, traced_handle),
@@ -147,15 +149,22 @@ def test_obs_overhead(tmp_path):
                 for service, handle in (first, second):
                     elapsed = _wave(service, handle, vectors, golden)
                     if service is untraced_service:
-                        untraced_s = min(untraced_s, elapsed)
+                        untraced_round = elapsed
                     else:
-                        traced_s = min(traced_s, elapsed)
+                        traced_round = elapsed
+                untraced_s = min(untraced_s, untraced_round)
+                traced_s = min(traced_s, traced_round)
+                round_ratios.append(traced_round / untraced_round)
 
     overhead_x = traced_s / untraced_s
+    # The per-round ratios show the host's spread around the best-of
+    # figure the cap is asserted on.
+    round_ratio_median = float(np.median(round_ratios))
     assert overhead_x < OVERHEAD_CAP, (
         f"traced path costs {overhead_x:.3f}x untraced "
         f"(cap {OVERHEAD_CAP}x): traced {traced_s:.6f}s "
-        f"vs untraced {untraced_s:.6f}s"
+        f"vs untraced {untraced_s:.6f}s; median round ratio "
+        f"{round_ratio_median:.3f}"
     )
     complete_trees = _assert_complete_trees(tracer)
     tracer_stats = tracer.stats()
@@ -179,6 +188,8 @@ def test_obs_overhead(tmp_path):
             "traced": round(OFFERED / traced_s, 1),
         },
         "overhead_x": round(overhead_x, 3),
+        "round_ratios": [round(r, 3) for r in round_ratios],
+        "round_ratio_median": round(round_ratio_median, 3),
         "overhead_cap_x": OVERHEAD_CAP,
         "overhead_us_per_request": round(
             (traced_s - untraced_s) / OFFERED * 1e6, 2

@@ -42,8 +42,8 @@ import threading
 import time
 from typing import Any
 
+from repro.hwsim.fast import SERVE_ENGINES, executor_label, resolve_engine
 from repro.serve.cache import CompileCache, CompileKey
-from repro.serve.shards import SERVE_ENGINES
 from repro.cluster.protocol import (
     EMPTY_OVERRIDES,
     ERR_AUTH,
@@ -73,14 +73,6 @@ class _Connection:
         self.key: CompileKey | None = None
         self.columns: tuple[int, int] | None = None
         self.overrides: tuple[list, dict] = EMPTY_OVERRIDES
-
-    def resolve_engine(self, engine: str) -> str:
-        """The server half of ``engine="auto"``: fused unless faults are
-        installed on this connection (store kernels are fault-free, so
-        the overrides are the only fault source here)."""
-        if engine == "auto":
-            return "bitplane" if overrides_active(self.overrides) else "fused"
-        return engine
 
 
 class ShardServer:
@@ -375,7 +367,10 @@ class ShardServer:
             return _error("not-loaded", "EXECUTE before a successful LOAD")
         engine = str(meta.get("engine", "auto"))
         if engine not in SERVE_ENGINES:
-            raise ProtocolError(f"unknown engine {engine!r}")
+            # A well-framed request this server cannot run: an
+            # application error for the caller, never link damage.
+            self._count("errors")
+            return _error("unknown-engine", f"unknown engine {engine!r}")
         budget = meta.get("deadline_s")
         if budget is not None:
             try:
@@ -384,7 +379,9 @@ class ShardServer:
                 raise ProtocolError(f"malformed deadline_s: {budget!r}") from exc
         received = time.monotonic()
         batch = frame_array(meta, blob)
-        resolved = state.resolve_engine(engine)
+        # Store kernels are fault-free, so the connection's overrides
+        # are the only fault source ``auto`` must see here.
+        resolved = resolve_engine(engine, lambda: overrides_active(state.overrides))
         trace = meta.get("trace")
         loop = asyncio.get_running_loop()
 
@@ -410,13 +407,10 @@ class ShardServer:
                 "execution; batch skipped",
             )
         busy = time.perf_counter() - start
-        # STATS/RESULT carry the variant-qualified executor label
-        # (``fused:<variant>``), derived from the same artifacts and
-        # density selector the client used — so the server-side view in
-        # ``repro.obs`` agrees with client telemetry by construction.
-        label = resolved
-        if resolved == "fused":
-            label = f"fused:{state.fast.fused_variant}"
+        # STATS/RESULT carry the variant-qualified executor label, built
+        # by the client's own labeller from the same artifacts — so the
+        # server-side view in ``repro.obs`` agrees with client telemetry.
+        label = executor_label(resolved, lambda: state.fast.fused_variant)
         self._count("executes", engine=label)
         if self.profiler is not None:
             self.profiler.record("server_execute", busy, variant=label)

@@ -67,6 +67,7 @@ deterministically (see ``overrides`` on :meth:`FastCircuit.multiply_batch`).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -86,6 +87,9 @@ __all__ = [
     "LoweredKernel",
     "lower",
     "ALL_ENGINES",
+    "SERVE_ENGINES",
+    "resolve_engine",
+    "executor_label",
     "pack_lanes",
     "unpack_lanes",
 ]
@@ -480,12 +484,6 @@ class FastCircuit:
         stuck_out, carry = self.fault_overrides()
         return bool(stuck_out) or any(carry.values())
 
-    # -- validation ---------------------------------------------------------
-
-    def _validate_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Shape/range checks shared by every engine, scalar included."""
-        return validate_batch(vectors, self.kernel.rows, self.kernel.input_width)
-
     # -- fault plumbing -----------------------------------------------------
 
     def fault_overrides(self) -> tuple[list, dict]:
@@ -527,7 +525,9 @@ class FastCircuit:
     def multiply(self, vector: np.ndarray | list[int]) -> np.ndarray:
         """Cycle-accurate ``a^T V``, bit-exact with the object simulator."""
         values = np.asarray(vector).ravel()
-        batch = self._validate_batch(values[None, :])
+        batch = validate_batch(
+            values[None, :], self.kernel.rows, self.kernel.input_width
+        )
         return self._run_dense(batch, None)[0]
 
     def multiply_batch(
@@ -561,7 +561,7 @@ class FastCircuit:
         """
         if engine not in self.ENGINES:
             raise ValueError(f"engine must be one of {self.ENGINES}, got {engine!r}")
-        batch = self._validate_batch(vectors)
+        batch = validate_batch(vectors, self.kernel.rows, self.kernel.input_width)
         if engine == "fused":
             stuck_out, carry = (
                 overrides if overrides is not None else self.fault_overrides()
@@ -760,3 +760,37 @@ class FastCircuit:
 # ``engine`` argument (SramWrapper, fault_campaign) validate against
 # this single list.
 ALL_ENGINES = ("object",) + FastCircuit.ENGINES
+
+#: Engines a served call may name: ``"auto"`` plus every FastCircuit
+#: engine.
+SERVE_ENGINES = ("auto",) + FastCircuit.ENGINES
+
+
+def resolve_engine(engine: str, has_faults: Callable[[], bool]) -> str:
+    """The engine a call naming ``engine`` actually runs.
+
+    ``"auto"`` is the fused schedule unless faults are active, and the
+    bit-plane gate engine when they are (the fused engine refuses
+    faults).  ``has_faults`` is asked only for ``"auto"``.  Explicit
+    engines pass through; anything outside :data:`SERVE_ENGINES` raises
+    ``ValueError``.  The serve layer, the shard server and the hardware
+    ESN all resolve through here.
+    """
+    if engine == "auto":
+        return "bitplane" if has_faults() else "fused"
+    if engine not in FastCircuit.ENGINES:
+        raise ValueError(f"engine must be one of {SERVE_ENGINES}, got {engine!r}")
+    return engine
+
+
+def executor_label(engine: str, fused_variant: Callable[[], str]) -> str:
+    """The reporting label for a resolved engine.
+
+    Gate engines pass through; ``"fused"`` gains its executor variant
+    (``fused:dense`` / ``fused:segmented`` / ``fused:generated``, or
+    ``fused:mixed`` for a deployment whose shards differ), so
+    telemetry, spans and cluster STATS say which code ran.
+    ``fused_variant`` is asked only for ``"fused"``, because naming the
+    variant builds the executor.
+    """
+    return f"fused:{fused_variant()}" if engine == "fused" else engine

@@ -43,7 +43,7 @@ Faults break linearity, so fusion refuses fault-bearing kernels and the
 fused engine refuses per-call overrides: fault campaigns keep running on
 the gate-level engines (the verification oracle), and the serve layer
 falls back to ``bitplane`` automatically whenever a deployment has live
-faults (see :meth:`repro.serve.shards.ShardedMultiplier.resolve_engine`).
+faults (see :func:`repro.hwsim.fast.resolve_engine`).
 """
 
 from __future__ import annotations
@@ -123,9 +123,11 @@ def select_variant(terms: int, rows: int, cols: int, result_width: int) -> str:
 def validate_batch(vectors: np.ndarray, rows: int, input_width: int) -> np.ndarray:
     """Shape/range checks shared by every engine (gate-level and fused).
 
-    Returns the batch as a 2-D int64 array; raises ``ValueError`` for
-    anything that is not a ``(batch, rows)`` set of ``s{input_width}``
-    vectors.
+    Returns the batch as a 2-D int64 array (the input itself when it
+    already is one); raises ``ValueError`` for anything that is not a
+    ``(batch, rows)`` set of ``s{input_width}`` vectors.  The range test
+    is one min/max pass; the mask is built only to name the offending
+    value.
     """
     arr = np.atleast_2d(np.asarray(vectors))
     if arr.ndim != 2:
@@ -133,13 +135,15 @@ def validate_batch(vectors: np.ndarray, rows: int, input_width: int) -> np.ndarr
             f"expected a (batch, rows) array of vectors, got shape {arr.shape}"
         )
     if arr.shape[1] != rows:
-        raise ValueError(f"vector length {arr.shape[1]} != matrix rows {rows}")
-    arr = arr.astype(np.int64)
+        raise ValueError(
+            f"vector length {arr.shape[1]} != matrix rows {rows} "
+            f"(batch shape {arr.shape})"
+        )
+    arr = arr.astype(np.int64, copy=False)
     lo, hi = signed_range(input_width)
-    bad = (arr < lo) | (arr > hi)
-    if np.any(bad):
-        v = int(arr[bad][0])
-        raise ValueError(f"input {v} does not fit in s{input_width}")
+    if arr.size and (arr.min() < lo or arr.max() > hi):
+        bad = int(arr[(arr < lo) | (arr > hi)][0])
+        raise ValueError(f"input {bad} does not fit in s{input_width}")
     return arr
 
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.multiplier import FixedMatrixMultiplier
 from repro.core.plan import MatrixPlan
+from repro.hwsim.fast import SERVE_ENGINES, FastCircuit, resolve_engine
 from repro.reservoir.quantize import IntegerESN
 
 __all__ = ["HardwareESN"]
@@ -81,9 +82,7 @@ class HardwareESN:
         )
         self._circuit = None
         if backend == "gates":
-            from repro.hwsim.fast import FastCircuit
-
-            if engine != "auto" and engine not in FastCircuit.ENGINES:
+            if engine not in SERVE_ENGINES:
                 raise ValueError(
                     f"engine must be 'auto' or one of {FastCircuit.ENGINES}, "
                     f"got {engine!r}"
@@ -96,9 +95,7 @@ class HardwareESN:
 
     def _gates_engine(self) -> str:
         """Resolve ``engine="auto"`` against the circuit's current faults."""
-        if self.engine != "auto":
-            return self.engine
-        return "bitplane" if self._circuit.has_faults else "fused"
+        return resolve_engine(self.engine, lambda: self._circuit.has_faults)
 
     def _hardware_multiply(self, vector: np.ndarray) -> np.ndarray:
         """One hardware product; a 2-D input batches independent vectors."""

@@ -88,22 +88,23 @@ class MicroBatcher:
         # Optional repro.obs.profile.StageProfiler: every request's
         # queue_wait (enqueue -> flush) is histogrammed per batch —
         # unlike the tracer this needs no per-request span, so it
-        # covers *all* traffic at the cost of one perf_counter read per
-        # submit and one vectorized binning per flush.
+        # covers *all* traffic at the cost of one vectorized binning
+        # per flush.
         self._profiler = profiler
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self.stats = BatcherStats()
-        # Pending entries: (vector, future, trace_info, deadline,
-        # enq_pc) where trace_info is None or (parent SpanContext,
-        # enqueue perf_counter) for the queue_wait span; the wall-clock
-        # start is reconstructed once per flush rather than sampled per
-        # submit.  ``deadline`` is an absolute ``time.monotonic()``
-        # instant (or None); expired entries are dropped at flush.
-        # ``enq_pc`` is the enqueue perf_counter for the profiler's
-        # queue_wait histogram (None when unprofiled).
+        # Pending entries: (vector, future, span, deadline, enq_pc)
+        # where ``span`` is the request's parent SpanContext when traced
+        # (else None) and ``enq_pc`` the one enqueue perf_counter read
+        # that both the queue_wait span and the profiler's histogram
+        # use (None when neither is on).  The queue_wait span's
+        # wall-clock start is reconstructed once per flush rather than
+        # sampled per submit.  ``deadline`` is an absolute
+        # ``time.monotonic()`` instant (or None); expired entries are
+        # dropped at flush.
         self._pending: list[
-            tuple[np.ndarray, asyncio.Future, tuple | None, float | None,
+            tuple[np.ndarray, asyncio.Future, object, float | None,
                   float | None]
         ] = []
         self._timer: asyncio.TimerHandle | None = None
@@ -145,11 +146,14 @@ class MicroBatcher:
         self._loop = loop
         self._loop_thread = threading.get_ident()
         future: asyncio.Future = loop.create_future()
-        trace_info = None
-        if self._tracer is not None and span is not None:
-            trace_info = (span, time.perf_counter())
-        enq_pc = time.perf_counter() if self._profiler is not None else None
-        self._pending.append((arr, future, trace_info, deadline, enq_pc))
+        if self._tracer is None:
+            span = None
+        enq_pc = (
+            time.perf_counter()
+            if span is not None or self._profiler is not None
+            else None
+        )
+        self._pending.append((arr, future, span, deadline, enq_pc))
         self.stats.requests += 1
         if len(self._pending) >= self.max_batch:
             self._flush("full")
@@ -276,18 +280,18 @@ class MicroBatcher:
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    def _start_batch_spans(self, batch: list[tuple], reason: str):
+    def _start_batch_spans(self, batch: list[tuple], reason: str, now_pc: float):
         """Record each traced request's queue_wait; open the coalesce span.
 
         A coalesced batch can carry requests from *different* traces,
         and a span has one parent: the batch's ``coalesce`` span is
         parented on the first traced request (the carrier) with every
         other trace id listed in a ``linked_traces`` attribute — see
-        ``docs/observability.md``.  Returns ``None`` when nothing in
-        the batch is traced.
+        ``docs/observability.md``.  ``now_pc`` is the flush's one
+        perf_counter read.  Returns ``None`` when nothing in the batch
+        is traced.
         """
-        now_pc = time.perf_counter()
-        traced = [entry[2] for entry in batch if entry[2] is not None]
+        traced = [(entry[2], entry[4]) for entry in batch if entry[2] is not None]
         if not traced:
             return None
         # Built inline and recorded under one lock: this runs on the
@@ -331,26 +335,25 @@ class MicroBatcher:
     async def _run(
         self,
         batch: list[
-            tuple[np.ndarray, asyncio.Future, tuple | None, float | None,
+            tuple[np.ndarray, asyncio.Future, object, float | None,
                   float | None]
         ],
         reason: str,
         budget: float | None = None,
     ) -> None:
         loop = asyncio.get_running_loop()
-        if self._profiler is not None:
-            # One vectorized binning per dispatched batch covers every
-            # request's enqueue -> dispatch wait, traced or not.
+        coalesce = None
+        if self._profiler is not None or self._tracer is not None:
+            # One clock read per flush feeds both sinks.
             now_pc = time.perf_counter()
-            self._profiler.record_many(
-                "queue_wait",
-                [now_pc - entry[4] for entry in batch if entry[4] is not None],
-            )
-        coalesce = (
-            self._start_batch_spans(batch, reason)
-            if self._tracer is not None
-            else None
-        )
+            if self._profiler is not None:
+                # One vectorized binning per dispatched batch covers
+                # every request's enqueue -> dispatch wait, traced or not.
+                self._profiler.record_many(
+                    "queue_wait", [now_pc - entry[4] for entry in batch]
+                )
+            if self._tracer is not None:
+                coalesce = self._start_batch_spans(batch, reason, now_pc)
         try:
             # Inside the try so even a shape mismatch at stack time fails
             # every waiting future instead of leaving them pending forever.

@@ -74,7 +74,7 @@ import threading
 import time
 import zipfile
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -349,20 +349,9 @@ class CompileCache:
         and lowering) -> persisted plan (skips planning) -> full compile.
         """
         key = compile_key(matrix, input_width, scheme, tree_style)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return CompiledEntry(
-                    key=key,
-                    plan=entry.plan,
-                    circuit=entry.circuit,
-                    fast=entry.fast,
-                    kernel=entry.kernel,
-                    fused=entry.fused,
-                    source="memory",
-                )
+        entry = self._memory_hit(key)
+        if entry is not None:
+            return entry
         kernel = self._load_kernel(key)
         if kernel is not None:
             # Zero-rebuild cold start: the kernel is the executable; the
@@ -371,72 +360,30 @@ class CompileCache:
             plan, plan_fp, _ = self._plan_for(
                 key, matrix, input_width, scheme, tree_style
             )
-            if kernel.fingerprint != plan_fp:
-                # Stale kernel (e.g. written against a plan that was later
-                # tampered with or replaced): never execute it.
-                kernel = None
-        if kernel is not None:
-            fused = self._load_fused(key)
-            if fused is not None and fused.fingerprint != plan_fp:
-                fused = None  # stale schedule: never execute it
-            fused_loaded = fused is not None
-            if fused is None:
-                # Pre-fused-artifact store (or a pruned/corrupt schedule):
-                # re-fuse from the loaded kernel and backfill the artifact.
-                fused = fuse(kernel)
-                self._store_fused(key, fused)
-            source, codegen_loaded = self._codegen_for(key, fused)
-            fast = FastCircuit(
-                kernel, plan=plan, fused=fused, codegen_source=source
-            )
-            entry = CompiledEntry(
-                key=key,
-                plan=plan,
-                circuit=None,
-                fast=fast,
-                kernel=kernel,
-                fused=fused,
-                source="kernel",
-            )
-            counter = "kernel"
-        else:
-            fused_loaded = False
-            plan, _, plan_source = self._plan_for(
-                key, matrix, input_width, scheme, tree_style
-            )
-            circuit = build_circuit(plan)
-            fast = FastCircuit.from_compiled(circuit)
-            fused = fast.fuse()
-            self._store_kernel(key, fast.kernel, fused=fused)
-            self._store_fused(key, fused)
-            source, codegen_loaded = self._codegen_for(key, fused)
-            fast.codegen_source = source
-            entry = CompiledEntry(
-                key=key,
-                plan=plan,
-                circuit=circuit,
-                fast=fast,
-                kernel=fast.kernel,
-                fused=fused,
-                source="disk" if plan_source == "disk" else "compiled",
-            )
-            counter = entry.source
-        with self._lock:
-            if counter == "kernel":
-                self.kernel_hits += 1
-                if fused_loaded:
-                    self.fused_hits += 1
-            elif counter == "disk":
-                self.disk_hits += 1
-            else:
-                self.misses += 1
-            if codegen_loaded:
-                self.codegen_hits += 1
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return entry
+            # A stale kernel (e.g. written against a plan that was later
+            # tampered with or replaced) is never executed.
+            if kernel.fingerprint == plan_fp:
+                return self._kernel_hit(key, kernel, plan)
+        plan, _, plan_source = self._plan_for(
+            key, matrix, input_width, scheme, tree_style
+        )
+        circuit = build_circuit(plan)
+        fast = FastCircuit.from_compiled(circuit)
+        fused = fast.fuse()
+        self._store_kernel(key, fast.kernel, fused=fused)
+        self._store_fused(key, fused)
+        source, codegen_loaded = self._codegen_for(key, fused)
+        fast.codegen_source = source
+        entry = CompiledEntry(
+            key=key,
+            plan=plan,
+            circuit=circuit,
+            fast=fast,
+            kernel=fast.kernel,
+            fused=fused,
+            source="disk" if plan_source == "disk" else "compiled",
+        )
+        return self._admit(entry, fused_loaded=False, codegen_loaded=codegen_loaded)
 
     def load_key(self, key: CompileKey) -> CompiledEntry:
         """Load a persisted compile **by key alone** — no matrix anywhere.
@@ -452,20 +399,9 @@ class CompileCache:
         kernel's fingerprint); a missing fused artifact is re-fused from
         the loaded kernel and backfilled, exactly as :meth:`get` does.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return CompiledEntry(
-                    key=key,
-                    plan=entry.plan,
-                    circuit=entry.circuit,
-                    fast=entry.fast,
-                    kernel=entry.kernel,
-                    fused=entry.fused,
-                    source="memory",
-                )
+        entry = self._memory_hit(key)
+        if entry is not None:
+            return entry
         kernel = self._load_kernel(key)
         if kernel is None:
             raise KeyError(f"artifact store has no kernel for {key.stem!r}")
@@ -479,32 +415,63 @@ class CompileCache:
                 raise KeyError(
                     f"kernel for {key.stem!r} does not match its stored plan"
                 )
+        return self._kernel_hit(key, kernel, plan)
+
+    def _memory_hit(self, key: CompileKey) -> CompiledEntry | None:
+        """The in-memory LRU entry for ``key``, relabelled ``memory``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+        return replace(entry, source="memory")
+
+    def _kernel_hit(
+        self, key: CompileKey, kernel: LoweredKernel, plan: MatrixPlan | None
+    ) -> CompiledEntry:
+        """Serve a verified persisted kernel: attach its fused schedule
+        (re-fused and backfilled when absent or stale) and codegen
+        source, then admit it as a ``kernel`` hit."""
         fused = self._load_fused(key)
         if fused is not None and fused.fingerprint != kernel.fingerprint:
             fused = None  # stale schedule: never execute it
         fused_loaded = fused is not None
         if fused is None:
+            # Pre-fused-artifact store (or a pruned/corrupt schedule):
+            # re-fuse from the loaded kernel and backfill the artifact.
             fused = fuse(kernel)
             self._store_fused(key, fused)
         source, codegen_loaded = self._codegen_for(key, fused)
-        fast = FastCircuit(kernel, plan=plan, fused=fused, codegen_source=source)
         entry = CompiledEntry(
             key=key,
             plan=plan,
             circuit=None,
-            fast=fast,
+            fast=FastCircuit(kernel, plan=plan, fused=fused, codegen_source=source),
             kernel=kernel,
             fused=fused,
             source="kernel",
         )
+        return self._admit(entry, fused_loaded, codegen_loaded)
+
+    def _admit(
+        self, entry: CompiledEntry, fused_loaded: bool, codegen_loaded: bool
+    ) -> CompiledEntry:
+        """Count a store-side lookup by its source and insert the entry
+        into the in-memory LRU."""
         with self._lock:
-            self.kernel_hits += 1
+            if entry.source == "kernel":
+                self.kernel_hits += 1
+            elif entry.source == "disk":
+                self.disk_hits += 1
+            else:
+                self.misses += 1
             if fused_loaded:
                 self.fused_hits += 1
             if codegen_loaded:
                 self.codegen_hits += 1
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
+            self._entries[entry.key] = entry
+            self._entries.move_to_end(entry.key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
         return entry

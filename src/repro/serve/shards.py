@@ -42,8 +42,11 @@ Two execution backends:
 Engine selection: every execution method takes ``engine``, defaulting
 to ``"auto"`` — the fused cycle-loop-free engine when no shard has live
 faults, the bit-plane gate engine otherwise (faults break the static
-schedule).  :meth:`ShardedMultiplier.resolve_engine` exposes the choice
-so the serve layer can record the *effective* engine in telemetry.
+schedule).  The rule and its ``fused:<variant>`` reporting label live in
+:mod:`repro.hwsim.fast` (:func:`~repro.hwsim.fast.resolve_engine`,
+:func:`~repro.hwsim.fast.executor_label`);
+:meth:`ShardedMultiplier.resolve_engine` applies them to the whole
+deployment so the serve layer can record the *effective* engine.
 """
 
 from __future__ import annotations
@@ -56,13 +59,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bits import signed_range
 from repro.core.plan import plan_matrix
 from repro.core.tiling import plan_column_tiles
 from repro.hwsim.builder import CompiledCircuit, build_circuit
 from repro.hwsim.codegen import generate_source
-from repro.hwsim.fast import FastCircuit
-from repro.hwsim.fused import select_variant
+from repro.hwsim.fast import (
+    SERVE_ENGINES,
+    FastCircuit,
+    executor_label,
+    resolve_engine,
+)
+from repro.hwsim.fused import select_variant, validate_batch
+from repro.obs.tracing import Span, SpanContext, Tracer
 from repro.serve.cache import CompileCache, compile_key, persist_artifacts
 
 __all__ = [
@@ -74,10 +82,6 @@ __all__ = [
 ]
 
 SHARD_BACKENDS = ("thread", "remote")
-
-#: Engines a deployment may be pinned to: ``"auto"`` (fused when
-#: fault-free, bitplane otherwise) plus every FastCircuit engine.
-SERVE_ENGINES = ("auto",) + FastCircuit.ENGINES
 
 
 def even_column_shards(cols: int, shards: int) -> list[tuple[int, int]]:
@@ -391,19 +395,6 @@ class ShardedMultiplier:
 
     # -- execution -----------------------------------------------------------
 
-    def _validate(self, vectors: np.ndarray) -> np.ndarray:
-        arr = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
-        if arr.ndim != 2 or arr.shape[1] != self.rows:
-            raise ValueError(
-                f"expected vectors of shape (batch, {self.rows}), "
-                f"got {np.asarray(vectors).shape}"
-            )
-        lo, hi = signed_range(self.input_width)
-        if arr.size and (arr.min() < lo or arr.max() > hi):
-            bad = arr[(arr < lo) | (arr > hi)][0]
-            raise ValueError(f"input {bad} does not fit in s{self.input_width}")
-        return arr
-
     def validate_vector(self, vector: np.ndarray) -> None:
         """Raise ValueError unless ``vector`` is one servable request.
 
@@ -412,16 +403,11 @@ class ShardedMultiplier:
         traffic.
         """
         arr = np.asarray(vector)
-        if arr.ndim != 1 or arr.shape[0] != self.rows:
+        if arr.ndim != 1:
             raise ValueError(
                 f"expected a vector of length {self.rows}, got shape {arr.shape}"
             )
-        self._validate(arr[None, :])
-
-    def _record(self, shard: Shard, elapsed: float) -> None:
-        with self._stats_lock:
-            shard.calls += 1
-            shard.busy_s += elapsed
+        validate_batch(arr[None, :], self.rows, self.input_width)
 
     def has_faults(self) -> bool:
         """True when any shard has live or snapshotted faults pending."""
@@ -430,19 +416,11 @@ class ShardedMultiplier:
     def resolve_engine(self, engine: str = "auto") -> str:
         """The engine an execution with ``engine`` would actually run.
 
-        ``"auto"`` resolves to the cycle-loop-free ``"fused"`` schedule
-        when every shard is fault-free, and to the bit-plane gate engine
-        whenever faults are active (the fused engine refuses faults).
-        Explicit engines pass through unchanged; the serve layer records
-        the resolved value in telemetry per hardware call.
+        :func:`repro.hwsim.fast.resolve_engine` over the whole
+        deployment: one faulted shard sends the batch to ``bitplane``.
+        The serve layer records the resolved value per hardware call.
         """
-        if engine == "auto":
-            return "bitplane" if self.has_faults() else "fused"
-        if engine not in FastCircuit.ENGINES:
-            raise ValueError(
-                f"engine must be one of {SERVE_ENGINES}, got {engine!r}"
-            )
-        return engine
+        return resolve_engine(engine, self.has_faults)
 
     def fused_variant(self) -> str:
         """The fused executor variant this deployment runs.
@@ -457,18 +435,10 @@ class ShardedMultiplier:
         return variants.pop() if len(variants) == 1 else "mixed"
 
     def executor_label(self, engine: str) -> str:
-        """The variant-qualified reporting label for a resolved engine.
-
-        Gate engines pass through unchanged; ``"fused"`` gains its
-        executor variant (``fused:dense`` / ``fused:segmented`` /
-        ``fused:generated`` / ``fused:mixed``) so telemetry, spans, and
-        cluster STATS say which code actually ran.  The *execution*
-        engine strings (:attr:`FastCircuit.ENGINES`) are unchanged —
-        this is a reporting label, never an engine name.
-        """
-        if engine != "fused":
-            return engine
-        return f"fused:{self.fused_variant()}"
+        """The deployment's reporting label for a resolved engine
+        (:func:`repro.hwsim.fast.executor_label`, ``fused:mixed`` when
+        shards differ).  A reporting label, never an engine name."""
+        return executor_label(engine, self.fused_variant)
 
     def resolve_executor(self, engine: str = "auto") -> str:
         """:meth:`resolve_engine` plus variant qualification.
@@ -479,29 +449,6 @@ class ShardedMultiplier:
         """
         return self.executor_label(self.resolve_engine(engine))
 
-    def _shard_label(self, shard: Shard, engine: str) -> str:
-        """Per-shard variant-qualified label (shards of one deployment
-        can resolve to different fused variants)."""
-        return f"fused:{shard.fast.fused_variant}" if engine == "fused" else engine
-
-    def _profile(self, stage: str, elapsed: float, label: str) -> None:
-        if self.profiler is not None:
-            self.profiler.record(stage, elapsed, variant=label)
-
-    def _dispatch_span(self, shard: Shard, engine: str, trace):
-        """Open a ``shard_dispatch`` span, or ``None`` when untraced."""
-        if self.tracer is None or trace is None:
-            return None
-        label = self._shard_label(shard, engine)
-        return self.tracer.start_span(
-            "shard_dispatch",
-            parent=trace,
-            shard=shard.index,
-            columns=[shard.start, shard.stop],
-            backend=self.backend,
-            engine=label,
-        )
-
     def _run_shard(
         self,
         shard: Shard,
@@ -510,28 +457,64 @@ class ShardedMultiplier:
         trace=None,
         deadline_s: float | None = None,
     ) -> np.ndarray:
+        """One shard's batch, booked from one clock reading.
+
+        The execute step is the shard's local engine, or its remote link
+        with the local fallback.  The interval read around it feeds the
+        shard's busy time, the profiler's ``shard_dispatch`` histogram
+        and, when traced, the ``shard_dispatch`` span, which is recorded
+        afterwards from that interval.  Only the span's id exists up
+        front, for a ``wire`` child to parent on.
+        """
+        traced = self.tracer is not None and trace is not None
+        label = (
+            executor_label(engine, lambda: shard.fast.fused_variant)
+            if traced or self.profiler is not None
+            else ""
+        )
+        dispatch = attrs = None
+        if traced:
+            dispatch = SpanContext(trace.trace_id, Tracer.new_span_id())
+            attrs = {
+                "shard": shard.index,
+                "columns": [shard.start, shard.stop],
+                "backend": self.backend,
+                "engine": label,
+            }
+            start_wall = time.time()
         start = time.perf_counter()
-        dispatch = self._dispatch_span(shard, engine, trace)
         try:
-            out = shard.fast.multiply_batch(batch, engine=engine)
+            if self.backend == "remote":
+                out = self._execute_remote(
+                    shard, batch, engine, dispatch, attrs, deadline_s, label
+                )
+            else:
+                out = shard.fast.multiply_batch(batch, engine=engine)
         finally:
-            if dispatch is not None:
-                dispatch.finish()
-        elapsed = time.perf_counter() - start
-        self._record(shard, elapsed)
+            elapsed = time.perf_counter() - start
+            if traced:
+                self.tracer.record(
+                    Span(
+                        dispatch.trace_id, dispatch.span_id, trace.span_id,
+                        "shard_dispatch", start_wall, elapsed, attrs,
+                    )
+                )
+        with self._stats_lock:
+            shard.calls += 1
+            shard.busy_s += elapsed
         if self.profiler is not None:
-            self._profile(
-                "shard_dispatch", elapsed, self._shard_label(shard, engine)
-            )
+            self.profiler.record("shard_dispatch", elapsed, variant=label)
         return out
 
-    def _run_remote_shard(
+    def _execute_remote(
         self,
         shard: Shard,
         batch: np.ndarray,
         engine: str,
-        trace=None,
-        deadline_s: float | None = None,
+        dispatch: SpanContext | None,
+        attrs: dict | None,
+        deadline_s: float | None,
+        label: str,
     ) -> np.ndarray:
         """One shard's batch over its endpoint, falling back locally.
 
@@ -540,77 +523,61 @@ class ShardedMultiplier:
         changed).  A :class:`~repro.cluster.client.RemoteShardError`
         (connect/timeout twice, or an already-unhealthy link) degrades
         to local execution on the shard's in-process engine — same
-        kernel, same overrides, bit-identical result.
+        kernel, same overrides, bit-identical result — and marks the
+        traced dispatch span's ``attrs`` with ``local_fallback``.
 
-        When tracing, the dispatch span gains a ``wire`` child covering
-        the socket round-trip; the wire span's context rides the
-        EXECUTE frame, and the server's ``server_execute`` span comes
-        back in the RESULT for the tracer to adopt — so the client
-        holds a single tree linked by propagated ids, not clock math.
+        When tracing, the dispatch gains a ``wire`` child covering the
+        socket round-trip; the wire span's context rides the EXECUTE
+        frame, and the server's ``server_execute`` span comes back in
+        the RESULT for the tracer to adopt — so the client holds a
+        single tree linked by propagated ids, not clock math.
         """
         from repro.cluster.client import RemoteShardError
 
         remote = self._remotes[shard.index]
         overrides = shard.fast.fault_overrides()
-        dispatch = self._dispatch_span(shard, engine, trace)
-        label = (
-            self._shard_label(shard, engine)
-            if self.profiler is not None
-            else ""
-        )
-        start = time.perf_counter()
         try:
-            try:
-                wire_start = time.perf_counter()
-                if dispatch is not None:
-                    with self.tracer.start_span(
-                        "wire",
-                        parent=dispatch.context,
-                        endpoint=remote.endpoint,
-                        shard=shard.index,
-                    ) as wire:
-                        out, _, _, spans = remote.execute(
-                            batch,
-                            engine,
-                            overrides,
-                            trace=wire.context.to_meta(),
-                            deadline_s=deadline_s,
-                        )
-                        wire.annotate(server_spans=len(spans))
-                    if spans:
-                        self.tracer.adopt(spans)
-                else:
-                    out, _, _, _ = remote.execute(
-                        batch, engine, overrides, deadline_s=deadline_s
-                    )
-                if self.profiler is not None:
-                    # The successful round-trip only: a fallback's time
-                    # belongs to its local shard_dispatch, not to a wire
-                    # that was never completed.
-                    self._profile(
-                        "wire", time.perf_counter() - wire_start, label
-                    )
-            except RemoteShardError as exc:
-                remote.local_fallbacks += 1
-                if self.recorder is not None:
-                    self.recorder.record(
-                        "local_fallback",
-                        endpoint=remote.endpoint,
-                        shard=shard.index,
-                        error=str(exc),
-                    )
-                if dispatch is not None:
-                    dispatch.annotate(local_fallback=True)
-                out = shard.fast.multiply_batch(
-                    batch, engine=engine, overrides=overrides
-                )
-        finally:
+            wire_start = time.perf_counter()
             if dispatch is not None:
-                dispatch.finish()
-        elapsed = time.perf_counter() - start
-        self._record(shard, elapsed)
+                with self.tracer.start_span(
+                    "wire",
+                    parent=dispatch,
+                    endpoint=remote.endpoint,
+                    shard=shard.index,
+                ) as wire:
+                    out, _, _, spans = remote.execute(
+                        batch,
+                        engine,
+                        overrides,
+                        trace=wire.context.to_meta(),
+                        deadline_s=deadline_s,
+                    )
+                    wire.annotate(server_spans=len(spans))
+                if spans:
+                    self.tracer.adopt(spans)
+            else:
+                out, _, _, _ = remote.execute(
+                    batch, engine, overrides, deadline_s=deadline_s
+                )
+        except RemoteShardError as exc:
+            remote.local_fallbacks += 1
+            if self.recorder is not None:
+                self.recorder.record(
+                    "local_fallback",
+                    endpoint=remote.endpoint,
+                    shard=shard.index,
+                    error=str(exc),
+                )
+            if attrs is not None:
+                attrs["local_fallback"] = True
+            return shard.fast.multiply_batch(batch, engine=engine, overrides=overrides)
         if self.profiler is not None:
-            self._profile("shard_dispatch", elapsed, label)
+            # The successful round-trip only: a fallback's time belongs
+            # to its local shard_dispatch, not to a wire that was never
+            # completed.
+            self.profiler.record(
+                "wire", time.perf_counter() - wire_start, variant=label
+            )
         return out
 
     def multiply_batch(
@@ -627,6 +594,11 @@ class ShardedMultiplier:
         slice; slices concatenate into the monolithic result bit-exactly.
         ``engine`` defaults to ``"auto"`` (see :meth:`resolve_engine`).
 
+        The batch is checked once per executing thread: a local shard's
+        engine validates what it runs, and the remote backend validates
+        here, before anything reaches the wire (a remote shard's local
+        fallback checks again, as its engine runs the batch).
+
         ``trace`` is an optional :class:`repro.obs.tracing.SpanContext`
         naming the parent span (the batcher's ``coalesce`` span); with a
         tracer configured it hangs per-shard ``shard_dispatch`` spans —
@@ -642,7 +614,10 @@ class ShardedMultiplier:
         request in the batch.  Local backends execute regardless: the
         work is already here and bounded.
         """
-        batch = self._validate(vectors)
+        if self.backend == "remote":
+            batch = validate_batch(vectors, self.rows, self.input_width)
+        else:
+            batch = np.atleast_2d(np.asarray(vectors))
         engine = self.resolve_engine(engine)
         with self._inflight_cv:
             self._inflight += 1
@@ -651,15 +626,16 @@ class ShardedMultiplier:
                 pieces = [
                     s.fast.multiply_batch(batch, engine=engine) for s in self.shards
                 ]
-                return np.concatenate(pieces, axis=1)
-            run = self._run_remote_shard if self.backend == "remote" else self._run_shard
-            if self._pool is None:
+            elif self._pool is None:
                 pieces = [
-                    run(s, batch, engine, trace, deadline_s) for s in self.shards
+                    self._run_shard(s, batch, engine, trace, deadline_s)
+                    for s in self.shards
                 ]
             else:
                 futures = [
-                    self._pool.submit(run, s, batch, engine, trace, deadline_s)
+                    self._pool.submit(
+                        self._run_shard, s, batch, engine, trace, deadline_s
+                    )
                     for s in self.shards
                 ]
                 pieces = [f.result() for f in futures]

@@ -180,6 +180,35 @@ class TestFaultsOverTheNetwork:
             snap = service.telemetry(handle)
             assert snap["engine"]["effective"] == "fused:dense"
 
+    def test_server_and_client_engine_labels_agree(self, fleet):
+        """Server STATS and client telemetry name the executor alike,
+        fault-free and while a FAULT override sends batches to gates."""
+        matrix = _matrix(7, shape=(12, 9))
+        vectors = _vectors(8, 4, 12)
+
+        def labels(service, handle):
+            client = set(service.telemetry(handle)["engine"]["batches"])
+            server = set()
+            for remote in handle.sharded._remotes:
+                server |= set(remote.stats()["engine_batches"])
+            return client, server
+
+        with fleet.remote_service() as service:
+            handle = fleet.deploy_fleet(service, matrix, use_cache=False)
+            service.multiply(handle, vectors)
+            client, server = labels(service, handle)
+            assert client == server == {"fused:dense"}
+            shard = handle.sharded.shards[1]
+            injection = inject_stuck_output(
+                shard.circuit.netlist, shard.circuit.netlist.components[40], 1
+            )
+            try:
+                service.multiply(handle, vectors)
+            finally:
+                injection.revert()
+            client, server = labels(service, handle)
+            assert client == server == {"fused:dense", "bitplane"}
+
     def test_fault_campaign_runs_unchanged_over_the_fleet(self, fleet):
         from repro.core.plan import plan_matrix
         from repro.hwsim.builder import build_circuit
@@ -438,6 +467,28 @@ class TestFailureSemantics:
                 conn = remote._ensure()
                 with pytest.raises(RemoteFault, match="unknown engine 'batched'"):
                     conn.request(batch_frame(vectors, "batched"))
+
+    def test_unknown_engine_is_an_application_error(self, tmp_path):
+        """A well-framed EXECUTE naming an engine the server lacks is
+        refused to the caller; it is not wire damage, so the link is
+        neither retried on a fresh connection nor marked unhealthy."""
+        from repro.cluster import RemoteFault
+
+        matrix = _matrix(16, shape=(10, 8))
+        vectors = _vectors(17, 2, 10)
+        with ClusterController(tmp_path / "store") as controller:
+            controller.start_local_fleet(1)
+            with controller.remote_service() as service:
+                handle = controller.deploy_fleet(service, matrix, shards=1)
+                remote = handle.sharded._remotes[0]
+                connections = remote.stats()["connections"]
+                with pytest.raises(RemoteFault, match="unknown engine 'batched'"):
+                    remote.execute(vectors, "batched")
+                assert remote.healthy is True
+                assert remote.stats()["connections"] == connections
+                assert np.array_equal(
+                    service.multiply(handle, vectors), vectors @ matrix
+                )
 
     def test_revive_reprobes_a_recovered_host(self, tmp_path):
         matrix = _matrix(14, shape=(10, 8))
