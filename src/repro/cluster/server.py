@@ -14,7 +14,8 @@ Ship the kernel once, stream batches: an asyncio TCP server that
   override schedule :meth:`FastCircuit.fault_overrides` produces, so a
   client-side fault campaign stays bit-exact across the network;
 * answers STATS with its counters (loads, executes, per-engine batches,
-  store statistics) for fleet dashboards.
+  store statistics, and per kernel run fused its compute dtype and
+  exactness margin) for fleet dashboards.
 
 Batches execute in the event loop's default thread pool, so the loop
 keeps accepting frames (from other connections) while numpy works.  Each
@@ -135,6 +136,9 @@ class ShardServer:
         self.auth_failures = 0
         self.expired_skips = 0
         self.engine_batches: dict[str, int] = {}
+        # Per artifact stem executed fused: its compute dtype and spare
+        # bits, the same values the client reports per shard.
+        self.fused_kernels: dict[str, dict[str, Any]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -181,6 +185,7 @@ class ShardServer:
                 "expired_skips": self.expired_skips,
                 "auth_required": self.auth_secret is not None,
                 "engine_batches": dict(self.engine_batches),
+                "fused_kernels": {k: dict(v) for k, v in self.fused_kernels.items()},
                 "store": self.cache.stats(),
             }
         if self.profiler is not None:
@@ -412,6 +417,13 @@ class ShardServer:
         # server-side view in ``repro.obs`` agrees with client telemetry.
         label = executor_label(resolved, lambda: state.fast.fused_variant)
         self._count("executes", engine=label)
+        if resolved == "fused":
+            fused = state.fast.built_fused
+            with self._stats_lock:
+                self.fused_kernels[state.key.stem] = {
+                    "fused_variant": fused.variant,
+                    "spare_bits": fused.spare_bits,
+                }
         if self.profiler is not None:
             self.profiler.record("server_execute", busy, variant=label)
         spans = None

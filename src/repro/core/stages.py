@@ -22,8 +22,8 @@ Counted stages:
 * ``"fuse"`` — :func:`repro.hwsim.fused.fuse` (kernel topology to the
   static CSD shift-add schedule the cycle-loop-free engine executes);
 * ``"codegen"`` — :func:`repro.hwsim.codegen.generate_source` (fused
-  schedule to specialized numpy executor source; cached as a
-  ``.codegen.py`` artifact so warm deploys skip it).
+  schedule to specialized numpy source).  Off the serving path: no
+  deploy runs it, so it stays 0 on cold and warm deploys alike.
 
 The registry is intentionally open: any future stage (RTL emission,
 place-and-route modelling) can count itself without touching this

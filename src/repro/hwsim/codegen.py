@@ -1,5 +1,14 @@
 """The ``codegen`` stage: compile a :class:`FusedKernel` to numpy source.
 
+**Off the serving path.**  Nothing in ``repro`` calls this module any
+more: :class:`repro.hwsim.fused.FusedCircuit` runs every schedule as one
+exact BLAS-backed matrix product, which beat the generated executor at
+every measured size and sparsity (``benchmarks/bench_fused_sparse.py``
+keeps it as a baseline).  The module stays only because the repo
+benchmark (``perfbench/workloads.py``) imports :func:`generate_source`
+to time the stage; the compile cache neither writes nor reads
+``.codegen.py`` files.  The description below is of the module itself.
+
 A fused kernel is a *complete static program* — every gather index,
 shift, and sign is known at compile time — so instead of interpreting
 the term arrays through generic machinery, this pass emits a tiny
@@ -20,10 +29,8 @@ nonzero terms.
 Generated source is a **versioned artifact** like the plan/kernel/fused
 ``.npz`` files: a machine-parseable comment header carries the artifact
 kind, format version, and the plan fingerprint of the kernel it was
-generated from.  :class:`repro.serve.cache.CompileCache` persists it as
-``<stem>.codegen.py`` next to the other artifacts, so warm deploys skip
-the ``codegen`` stage entirely (counted in
-:data:`repro.core.stages.STAGES`, asserted by the warm-start tests).
+generated from.  Generation counts the ``codegen`` stage in
+:data:`repro.core.stages.STAGES`; loading does not.
 
 Trust model: loading *executes* the source, so it inherits the artifact
 store's existing trust boundary — stores are already trusted to supply
@@ -33,8 +40,8 @@ kernel being served, so a stale or foreign file degrades to a cache
 miss (regenerate), never to wrong results.
 
 Only kernels with ``result_width <= 62`` are generatable: wider
-accumulations need exact Python integers, which the segmented executor
-already provides (see :class:`repro.hwsim.fused.FusedCircuit`).
+accumulations need exact Python integers (see
+:class:`repro.hwsim.fused.FusedCircuit`).
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ matrices, so any engine can stand in for any other):
 * **fused engine** (``multiply_batch(engine="fused")``) — not a
   simulation at all: :func:`repro.hwsim.fused.fuse` recovers the static
   CSD shift-add schedule from the kernel's topology once, and execution
-  is a handful of vectorized int64 ops with **no cycle loop** (see
+  is one exact matrix product per batch — a float BLAS GEMM for every
+  kernel whose width fits the mantissa — with **no cycle loop** (see
   :mod:`repro.hwsim.fused`).  Another order of magnitude faster than the
   bit-plane engine, bit-exact with it — but linear-only: it refuses to
   run while faults or per-call overrides are active (the serve layer
@@ -388,7 +389,6 @@ class FastCircuit:
         source: CompiledCircuit | LoweredKernel,
         plan=None,
         fused: FusedKernel | None = None,
-        codegen_source: str | None = None,
     ) -> None:
         if isinstance(source, LoweredKernel):
             self.kernel = source
@@ -422,14 +422,9 @@ class FastCircuit:
                 "fused kernel fingerprint does not match the lowered kernel"
             )
         self._fused_kernel = fused
-        #: Cached generated executor source (the ``.codegen.py``
-        #: artifact) — attached by the compile cache so sparse kernels
-        #: skip the ``codegen`` stage on warm deploys.  ``None`` means
-        #: generate on demand if the selector picks that variant.
-        self.codegen_source = codegen_source
         # The executor is built lazily on first fused execution so that
-        # attaching artifacts never materializes executor state (e.g.
-        # the dense fold) the selector may decide against.
+        # attaching artifacts never materializes the coefficient fold of
+        # a deployment that only ever runs the gate engines.
         self._fused_exec: FusedCircuit | None = None
 
     @classmethod
@@ -456,12 +451,12 @@ class FastCircuit:
 
     def _fused_circuit(self) -> FusedCircuit:
         if self._fused_exec is None:
-            self._fused_exec = FusedCircuit(self.fuse(), source=self.codegen_source)
+            self._fused_exec = FusedCircuit(self.fuse())
         return self._fused_exec
 
     @property
     def fused_variant(self) -> str:
-        """The executor variant fused execution uses (building it if needed).
+        """The compute dtype fused execution uses (building it if needed).
 
         One of :attr:`FusedCircuit.VARIANTS` — the label telemetry,
         spans, and cluster STATS report as ``fused:<variant>`` so
@@ -470,13 +465,13 @@ class FastCircuit:
         return self._fused_circuit().variant
 
     @property
-    def resolved_fused_variant(self) -> str | None:
-        """The already-built executor's variant, or ``None`` (no forcing).
+    def built_fused(self) -> FusedCircuit | None:
+        """The already-built fused executor, or ``None`` (no forcing).
 
         Telemetry scrapes use this: reporting must never trigger fuse
-        or codegen work on a deployment that has not executed fused.
+        work on a deployment that has not executed fused.
         """
-        return self._fused_exec.variant if self._fused_exec is not None else None
+        return self._fused_exec
 
     @property
     def has_faults(self) -> bool:
@@ -786,10 +781,10 @@ def resolve_engine(engine: str, has_faults: Callable[[], bool]) -> str:
 def executor_label(engine: str, fused_variant: Callable[[], str]) -> str:
     """The reporting label for a resolved engine.
 
-    Gate engines pass through; ``"fused"`` gains its executor variant
-    (``fused:dense`` / ``fused:segmented`` / ``fused:generated``, or
-    ``fused:mixed`` for a deployment whose shards differ), so
-    telemetry, spans and cluster STATS say which code ran.
+    Gate engines pass through; ``"fused"`` gains its compute dtype
+    (``fused:float32`` / ``fused:float64`` / ``fused:int64`` /
+    ``fused:object``, or ``fused:mixed`` for a deployment whose shards
+    differ), so telemetry, spans and cluster STATS say which code ran.
     ``fused_variant`` is asked only for ``"fused"``, because naming the
     variant builds the executor.
     """

@@ -10,12 +10,14 @@ topology* — no plan, no netlist, no matrix required — and packages it as
 a :class:`FusedKernel`: per output, the signed CSD terms as flat
 ``(row, shift, sign)`` integer arrays.
 
-Execution (:class:`FusedCircuit`) is then a handful of vectorized int64
-operations over a whole batch — gather the input rows, scale by
-``sign << shift``, segment-sum per output — with **no cycle loop and no
-per-cycle allocation**.  Results are bit-exact with every gate-level
-engine (asserted by the cross-engine equivalence suite), including an
-object-dtype fallback for accumulations wider than 62 bits.
+Execution (:class:`FusedCircuit`) folds those terms once into the
+``(rows, cols)`` coefficient matrix they sum to and runs one matrix
+product per batch, in the narrowest dtype whose exact-integer range
+covers the kernel's ``result_width`` — a float32 or float64 BLAS GEMM
+for every realistic kernel — with **no cycle loop and no per-cycle
+allocation**.  Results are bit-exact with every gate-level engine
+(asserted by the cross-engine equivalence suite), including exact
+Python integers for accumulations wider than 62 bits.
 
 How the recovery works
 ----------------------
@@ -68,17 +70,17 @@ __all__ = [
     "segment_prefixes",
     "term_density",
     "select_variant",
-    "DENSITY_THRESHOLD",
 ]
 
 # Op codes for the topological sweep, assigned per kernel slot.
 _OP_NONE, _OP_INPUT, _OP_ADD, _OP_SUB, _OP_NEG, _OP_DFF = range(6)
 
-#: Term-density boundary between the dense fold and the sparse tiers.
-#: Below this fraction of ``rows * cols`` the segmented/generated
-#: executors do strictly less arithmetic than the dense matmul; above
-#: it the BLAS-backed ``batch @ dense`` wins on memory locality.
-DENSITY_THRESHOLD = 0.25
+#: Compute dtypes of the fused fold, narrowest first, each with ``p``:
+#: every integer of magnitude ``<= 2**p`` is exact in it (float32 and
+#: float64 mantissas, and ``2**62`` as the int64 bound that keeps
+#: ``2**p`` itself representable).  Wider kernels fall through to
+#: exact Python integers (``object``).
+_EXACT_BITS = (("float32", 24), ("float64", 53), ("int64", 62))
 
 
 def segment_prefixes(term_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,20 +106,19 @@ def term_density(terms: int, rows: int, cols: int) -> float:
 
 
 def select_variant(terms: int, rows: int, cols: int, result_width: int) -> str:
-    """Pick the fused executor variant for a kernel's term statistics.
+    """The compute dtype name of the fused fold for a kernel.
 
-    Pure policy on scalars so callers holding only artifact *metadata*
-    (term count persisted in the ``.npz`` header) can decide without
-    loading term arrays or materializing the dense fold.  ``>62``-bit
-    kernels always run segmented (exact Python integers); sparse
-    schedules (density below :data:`DENSITY_THRESHOLD`) take the
-    generated executor; dense ones keep the BLAS fold.
+    ``"float32"`` when ``result_width <= 24``, ``"float64"`` when
+    ``<= 53``, ``"int64"`` when ``<= 62``, else ``"object"`` (exact
+    Python integers).  The name is also the executor's reporting label
+    (``fused:float32``).  Only ``result_width`` decides; ``terms``,
+    ``rows`` and ``cols`` are accepted so callers holding artifact
+    metadata keep one call shape.
     """
-    if result_width > 62:
-        return "segmented"
-    if term_density(terms, rows, cols) < DENSITY_THRESHOLD:
-        return "generated"
-    return "dense"
+    for name, bits in _EXACT_BITS:
+        if result_width <= bits:
+            return name
+    return "object"
 
 
 def validate_batch(vectors: np.ndarray, rows: int, input_width: int) -> np.ndarray:
@@ -366,89 +367,70 @@ def fuse(kernel: "LoweredKernel") -> FusedKernel:
 class FusedCircuit:
     """Execute a :class:`FusedKernel`: ``y = Mx`` with no cycle loop.
 
-    Three executor variants, all bit-exact with the gate engines:
+    The CSD terms are folded once into the ``(rows, cols)`` integer
+    coefficient matrix ``V`` they sum to, and each batch runs one
+    matrix product ``batch @ V`` in the compute dtype
+    :func:`select_variant` picks from the kernel's ``result_width``:
+    float32 up to 24 bits, float64 up to 53, int64 up to 62, exact
+    Python integers (object dtype, returned as such) above.  The float
+    dtypes run as a BLAS GEMM; the result is cast back to int64.
 
-    ``dense``
-        The CSD terms are folded once into the per-``(row, out)``
-        integer coefficient matrix they sum to; execution is a single
-        int64 matrix product per batch.  O(rows * cols) per lane
-        regardless of sparsity — fastest when the schedule is dense.
-    ``segmented``
-        CSR-style: gather the term rows, scale by ``sign << shift``,
-        one ``np.add.reduceat`` per batch over the segment boundaries
-        from :func:`segment_prefixes`.  O(terms) per lane.  Kernels
-        wider than 62 bits always run this variant over exact Python
-        integers (object dtype), matching the gate engines' decode
-        types; narrow kernels run it in int64 — safe because the NAF
-        absolute-term sum is at most ``4/3`` of the coefficient sum, so
-        every partial sum is bounded by ``(4/3) * 2**61 < 2**63``.
-    ``generated``
-        The schedule compiled to specialized numpy source by
-        :mod:`repro.hwsim.codegen` — same O(terms) arithmetic with the
-        indexing arrays baked in, outputs grouped by term count so each
-        group reduces with a contiguous fixed-width reshape-sum, and
-        degenerate shapes (empty schedule, one term per output)
-        collapsed at generation time.
-
-    ``variant="auto"`` (the default) picks via :func:`select_variant`;
-    only the chosen variant's state is materialized, so selecting
-    against the dense fold never allocates it.  Pass ``source=`` to
-    reuse cached generated source (skipping the ``codegen`` stage).
+    **Why the float product is exact.**  For input width ``w`` let
+    ``S = 2**(w-1) * max_j sum_i |V_ij|``.  Every input satisfies
+    ``|a_i| <= 2**(w-1)``, so every product ``a_i * V_ij`` and every
+    partial sum of a column's products — whatever order or blocking
+    the BLAS uses — is an integer of magnitude ``<= S``.  A dtype whose
+    integers are exact up to ``2**p`` therefore rounds nothing while
+    ``S <= 2**p``: each operand (an ``a_i`` meeting a nonzero ``V_ij``
+    has ``|a_i| <= S``), each product and each sum is representable,
+    so every operation returns its exact integer.  The plan's width
+    bounds ``S``: per column, ``plan._exact_result_width`` has
+    ``hi + |lo| = (2**w - 1) * (p_j + n_j)`` with ``p_j + n_j >=
+    sum_i |V_ij|`` and ``hi + |lo| < 2**result_width``, so
+    ``S <= 2**result_width``, and the dtype rule above keeps
+    ``result_width <= p``.  The bound is not assumed: the constructor
+    computes ``S`` on the actual fold and raises ``ValueError`` when it
+    exceeds the chosen dtype's exact range (an artifact whose terms are
+    wider than its declared ``result_width``).  :attr:`spare_bits` is
+    the margin left.
     """
 
-    #: Executor variants, in preference order for dense → sparse.
-    VARIANTS = ("dense", "segmented", "generated")
+    #: Compute dtype names (and reporting labels), narrowest first.
+    VARIANTS = tuple(name for name, _ in _EXACT_BITS) + ("object",)
 
-    def __init__(
-        self,
-        kernel: FusedKernel,
-        variant: str = "auto",
-        source: str | None = None,
-    ) -> None:
+    def __init__(self, kernel: FusedKernel) -> None:
         self.kernel = kernel
-        self._wide = kernel.result_width > 62
-        if variant == "auto":
-            variant = select_variant(
-                kernel.terms, kernel.rows, kernel.cols, kernel.result_width
-            )
-        if variant not in self.VARIANTS:
+        self.variant = select_variant(
+            kernel.terms, kernel.rows, kernel.cols, kernel.result_width
+        )
+        fold = _fold(kernel)
+        column_sums = np.abs(fold).sum(axis=0)
+        column_max = int(column_sums.max()) if column_sums.size else 0
+        #: Largest magnitude any partial sum of a product can reach.
+        self.bound = column_max << (kernel.input_width - 1)
+        bits = dict(_EXACT_BITS).get(self.variant)
+        if bits is not None and self.bound > 1 << bits:
             raise ValueError(
-                f"unknown fused executor variant {variant!r}; "
-                f"expected one of {('auto',) + self.VARIANTS}"
+                f"fused kernel {kernel.fingerprint[:12]} declares "
+                f"result_width {kernel.result_width}, but its fold reaches "
+                f"{self.bound} > 2**{bits}, past the exact range of "
+                f"{self.variant}"
             )
-        if self._wide and variant != "segmented":
-            raise ValueError(
-                f"kernels wider than 62 bits require the segmented executor, "
-                f"not {variant!r}"
-            )
-        if variant == "generated":
-            from repro.hwsim import codegen  # deferred: codegen imports us
+        self._exact_bits = bits
+        self._dtype = object if bits is None else np.dtype(self.variant)
+        self._coeff = fold.astype(self._dtype)
 
-            if source is None:
-                source = codegen.generate_source(kernel)
-            self._generated = codegen.load_execute(source, kernel.fingerprint)
-            self.source = source
-        elif variant == "segmented":
-            self._starts, self._segment_out = segment_prefixes(kernel.term_out)
-            if self._wide:
-                # Exact object path: coefficients as Python integers.
-                self._coeff = np.array(
-                    [
-                        int(g) << int(s)
-                        for g, s in zip(kernel.term_sign, kernel.term_shift)
-                    ],
-                    dtype=object,
-                )
-            else:
-                self._coeff = kernel.term_sign * np.left_shift(
-                    np.int64(1), kernel.term_shift
-                )
-        else:
-            dense = np.zeros((kernel.rows, kernel.cols), dtype=np.int64)
-            scaled = kernel.term_sign * np.left_shift(np.int64(1), kernel.term_shift)
-            np.add.at(dense, (kernel.term_row, kernel.term_out), scaled)
-            self._dense = dense
-        self.variant = variant
+    @property
+    def spare_bits(self) -> int | None:
+        """The compute dtype's exact bits minus ``ceil(log2 S)``.
+
+        How much wider the kernel's products could grow before the
+        dtype stops being exact; ``None`` for exact Python integers.
+        """
+        if self._exact_bits is None:
+            return None
+        need = (self.bound - 1).bit_length() if self.bound else 0
+        return self._exact_bits - need
 
     def multiply_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Evaluate a ``(B, rows)`` batch; returns ``(B, cols)``."""
@@ -462,18 +444,24 @@ class FusedCircuit:
 
     def execute(self, batch: np.ndarray) -> np.ndarray:
         """Run a pre-validated int64 ``(B, rows)`` batch (the hot path)."""
-        kernel = self.kernel
-        if self.variant == "dense":
-            return batch @ self._dense
-        if self.variant == "generated":
-            return self._generated(batch)
-        dtype = object if self._wide else np.int64
-        out = np.zeros((batch.shape[0], kernel.cols), dtype=dtype)
-        if batch.shape[0] == 0 or kernel.terms == 0:
+        out = batch.astype(self._dtype, copy=False) @ self._coeff
+        if self._dtype is object:
             return out
-        gathered = batch[:, kernel.term_row]
-        if self._wide:
-            gathered = gathered.astype(object)
-        sums = np.add.reduceat(gathered * self._coeff, self._starts, axis=1)
-        out[:, self._segment_out] = sums
-        return out
+        return out.astype(np.int64, copy=False)
+
+
+def _fold(kernel: FusedKernel) -> np.ndarray:
+    """The exact ``(rows, cols)`` integer matrix the CSD terms sum to.
+
+    int64 when no column's terms can overflow it (term count times the
+    largest shifted term stays below ``2**63``), else Python integers,
+    so the bound :class:`FusedCircuit` checks is computed on exact
+    values whatever the artifact holds.
+    """
+    counts = np.bincount(kernel.term_out, minlength=kernel.cols)
+    if kernel.terms and int(counts.max()) << int(kernel.term_shift.max()) >= 1 << 63:
+        return kernel.coefficients()
+    fold = np.zeros((kernel.rows, kernel.cols), dtype=np.int64)
+    scaled = kernel.term_sign * np.left_shift(np.int64(1), kernel.term_shift)
+    np.add.at(fold, (kernel.term_row, kernel.term_out), scaled)
+    return fold

@@ -12,7 +12,7 @@ percentiles evolve.  :class:`MetricsHistory` is that dimension:
 * **windowed queries** over the ring — :meth:`rate` / :meth:`delta`
   turn any monotonic counter (dotted path into the document:
   ``"fleet.shed.queue_full"``, ``"fleet.servers.expired_skips"``,
-  ``"fleet.engine_batches.fused:dense"``) into an increase or
+  ``"fleet.engine_batches.fused:float32"``) into an increase or
   per-second rate over a trailing window, :meth:`counter_rates` does it
   for every numeric counter under ``fleet`` at once, and
   :meth:`percentile_series` extracts a deployment latency quantile as a
@@ -47,7 +47,7 @@ def _lookup(doc: Any, path: str) -> Any:
     """Dotted-path lookup (``"fleet.shed.queue_full"``); None if absent.
 
     Path segments are dict keys only — engine labels like
-    ``fused:dense`` contain no dots, so segments never need escaping.
+    ``fused:float32`` contain no dots, so segments never need escaping.
     """
     node = doc
     for part in path.split("."):

@@ -5,8 +5,8 @@ time go" — one span tree, high fidelity, bounded retention.  The stage
 profiler answers the fleet-wide version: the full *distribution* of
 per-stage durations (``queue_wait``, ``coalesce``, ``shard_dispatch``,
 ``wire``, ``server_execute``), keyed by the executor variant label
-(``fused:dense`` / ``fused:segmented`` / ``fused:generated`` /
-``bitplane`` / ...), continuously, for every request — which is what
+(``fused:float32`` / ``fused:float64`` / ``fused:int64`` /
+``fused:object`` / ``bitplane`` / ...), continuously, for every request — which is what
 proving the paper's latency/throughput envelope under live traffic
 requires.  That only works if recording is near-free, so:
 

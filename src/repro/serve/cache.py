@@ -18,24 +18,24 @@ via :mod:`repro.core.serialize`:
   the bit-plane engine executes;
 * ``<key>.fused.npz`` — the fused shift-add schedule
   (:class:`~repro.hwsim.fused.FusedKernel`), i.e. what the
-  cycle-loop-free ``engine="fused"`` serving path executes;
-* ``<key>.codegen.py`` — the generated executor source
-  (:mod:`repro.hwsim.codegen`), written only for kernels whose term
-  density selects the ``generated`` fused executor variant.
+  cycle-loop-free ``engine="fused"`` serving path executes (folded to
+  one coefficient matrix and run as a single exact matrix product).
 
-A *fresh process* deploying a known matrix therefore loads the kernel,
-fused schedule, and (for sparse kernels) generated source, performing
-**zero** planning, ``build_circuit``, lowering, fusing, or codegen work
-(the contract asserted by ``benchmarks/bench_compile_cold_start.py``
-and ``benchmarks/bench_fused_sparse.py`` against
+A *fresh process* deploying a known matrix therefore loads the kernel
+and fused schedule, performing **zero** planning, ``build_circuit``,
+lowering or fusing work (the contract asserted by
+``benchmarks/bench_compile_cold_start.py`` and
+``benchmarks/bench_fused_sparse.py`` against
 :data:`repro.core.stages.STAGES`); if only the plan survives (older
 store, pruned kernel), it skips re-planning and pays just the mechanical
 netlist build.  A store written before the fused artifact existed
 re-fuses from the loaded kernel (cheap next to a build) and backfills
-the missing artifact; likewise a store without generated source (or
-with stale/foreign source — wrong kind, version, or fingerprint)
-regenerates and backfills, so codegen failures degrade to one
-``codegen`` stage execution, never a wrong executor.
+the missing artifact.
+
+Stores written by older versions may also hold ``<key>.codegen.py``
+files (generated executor source).  Nothing reads them any more; they
+stay in the per-key suffix list only so that eviction removes them with
+their key, and ``stats()["codegen_hits"]`` stays reported, always 0.
 
 The cache compiles deterministically (``rng=None``), so a key always
 names exactly one circuit; stored artifacts are verified on load
@@ -59,8 +59,8 @@ all manifest and artifact writes stage to private temp names and
 never torn);
 after every store or load the cache prunes expired keys and then the
 least-recently-used keys until the store fits the byte budget.  A key's
-plan, kernel, fused, and codegen artifacts are evicted together, so a
-surviving key is always a full-speed kernel hit.  Unbounded stores (no limits set) keep
+plan, kernel, fused (and legacy codegen) artifacts are evicted together,
+so a surviving key is always a full-speed kernel hit.  Unbounded stores (no limits set) keep
 the manifest as a cheap per-store record — loads skip manifest work,
 and a later bounded cache over the same directory adopts everything by
 file mtime.
@@ -90,10 +90,9 @@ from repro.core.serialize import (
     plan_from_dict,
     plan_to_dict,
 )
-from repro.hwsim import codegen as codegen_mod
 from repro.hwsim.builder import CompiledCircuit, build_circuit
 from repro.hwsim.fast import FastCircuit, LoweredKernel
-from repro.hwsim.fused import FusedKernel, fuse, select_variant, term_density
+from repro.hwsim.fused import FusedKernel, fuse, term_density
 
 __all__ = [
     "CompileKey",
@@ -109,8 +108,10 @@ _INDEX_NAME = "index.json"
 
 # Per-key artifact suffixes — the single place the naming scheme lives;
 # CompileKey, eviction, and manifest adoption all derive from this.
+# ``.codegen.py`` (generated source) is written by older versions only;
+# it stays listed so eviction and adoption still cover those files.
 _ARTIFACT_SUFFIXES = (".plan.json", ".kernel.npz", ".fused.npz", ".codegen.py")
-_PLAN_SUFFIX, _KERNEL_SUFFIX, _FUSED_SUFFIX, _CODEGEN_SUFFIX = _ARTIFACT_SUFFIXES
+_PLAN_SUFFIX, _KERNEL_SUFFIX, _FUSED_SUFFIX = _ARTIFACT_SUFFIXES[:3]
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,6 @@ class CompileKey:
     def fused_filename(self) -> str:
         """Stable on-disk name for this key's persisted fused schedule."""
         return f"{self.stem}{_FUSED_SUFFIX}"
-
-    @property
-    def codegen_filename(self) -> str:
-        """Stable on-disk name for this key's generated executor source."""
-        return f"{self.stem}{_CODEGEN_SUFFIX}"
 
 
 def compile_key(
@@ -189,7 +185,6 @@ def persist_artifacts(
     plan: MatrixPlan,
     kernel: LoweredKernel,
     fused: FusedKernel | None = None,
-    codegen_source: str | None = None,
 ) -> None:
     """Write one compile's artifacts into a store without a cache instance.
 
@@ -215,15 +210,6 @@ def persist_artifacts(
         raise ValueError(
             "fused fingerprint does not match the plan being persisted"
         )
-    if codegen_source is not None:
-        # Validate before publishing: a store must never hold source the
-        # loaders would refuse (or worse, accept for the wrong kernel).
-        header = codegen_mod.source_header(codegen_source)
-        if header["fingerprint"] != fingerprint:
-            raise ValueError(
-                "generated source fingerprint does not match the plan "
-                "being persisted"
-            )
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     atomic_write_text(directory / key.filename, json.dumps(payload))
@@ -234,8 +220,6 @@ def persist_artifacts(
     )
     if fused is not None:
         fused_to_npz(fused, directory / key.fused_filename)
-    if codegen_source is not None:
-        atomic_write_text(directory / key.codegen_filename, codegen_source)
 
 
 def _term_metadata(fused: FusedKernel) -> dict:
@@ -325,7 +309,6 @@ class CompileCache:
         self.hits = 0
         self.kernel_hits = 0
         self.fused_hits = 0
-        self.codegen_hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.plan_hits = 0
@@ -372,8 +355,6 @@ class CompileCache:
         fused = fast.fuse()
         self._store_kernel(key, fast.kernel, fused=fused)
         self._store_fused(key, fused)
-        source, codegen_loaded = self._codegen_for(key, fused)
-        fast.codegen_source = source
         entry = CompiledEntry(
             key=key,
             plan=plan,
@@ -383,7 +364,7 @@ class CompileCache:
             fused=fused,
             source="disk" if plan_source == "disk" else "compiled",
         )
-        return self._admit(entry, fused_loaded=False, codegen_loaded=codegen_loaded)
+        return self._admit(entry, fused_loaded=False)
 
     def load_key(self, key: CompileKey) -> CompiledEntry:
         """Load a persisted compile **by key alone** — no matrix anywhere.
@@ -431,8 +412,8 @@ class CompileCache:
         self, key: CompileKey, kernel: LoweredKernel, plan: MatrixPlan | None
     ) -> CompiledEntry:
         """Serve a verified persisted kernel: attach its fused schedule
-        (re-fused and backfilled when absent or stale) and codegen
-        source, then admit it as a ``kernel`` hit."""
+        (re-fused and backfilled when absent or stale), then admit it
+        as a ``kernel`` hit."""
         fused = self._load_fused(key)
         if fused is not None and fused.fingerprint != kernel.fingerprint:
             fused = None  # stale schedule: never execute it
@@ -442,21 +423,18 @@ class CompileCache:
             # re-fuse from the loaded kernel and backfill the artifact.
             fused = fuse(kernel)
             self._store_fused(key, fused)
-        source, codegen_loaded = self._codegen_for(key, fused)
         entry = CompiledEntry(
             key=key,
             plan=plan,
             circuit=None,
-            fast=FastCircuit(kernel, plan=plan, fused=fused, codegen_source=source),
+            fast=FastCircuit(kernel, plan=plan, fused=fused),
             kernel=kernel,
             fused=fused,
             source="kernel",
         )
-        return self._admit(entry, fused_loaded, codegen_loaded)
+        return self._admit(entry, fused_loaded)
 
-    def _admit(
-        self, entry: CompiledEntry, fused_loaded: bool, codegen_loaded: bool
-    ) -> CompiledEntry:
+    def _admit(self, entry: CompiledEntry, fused_loaded: bool) -> CompiledEntry:
         """Count a store-side lookup by its source and insert the entry
         into the in-memory LRU."""
         with self._lock:
@@ -468,8 +446,6 @@ class CompileCache:
                 self.misses += 1
             if fused_loaded:
                 self.fused_hits += 1
-            if codegen_loaded:
-                self.codegen_hits += 1
             self._entries[entry.key] = entry
             self._entries.move_to_end(entry.key)
             while len(self._entries) > self.capacity:
@@ -549,7 +525,9 @@ class CompileCache:
             "hits": self.hits,
             "kernel_hits": self.kernel_hits,
             "fused_hits": self.fused_hits,
-            "codegen_hits": self.codegen_hits,
+            # Generated source is no longer loaded; the key stays, fixed
+            # at 0, for readers of older stats documents.
+            "codegen_hits": 0,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "plan_hits": self.plan_hits,
@@ -703,62 +681,6 @@ class CompileCache:
             return None
         self._touch(key)
         return fused
-
-    def _codegen_path(self, key: CompileKey) -> pathlib.Path | None:
-        if self.directory is None:
-            return None
-        return self.directory / key.codegen_filename
-
-    def _codegen_for(self, key: CompileKey, fused: FusedKernel) -> tuple[str | None, bool]:
-        """Resolve generated executor source for a fused schedule.
-
-        Returns ``(source, loaded)``: ``source`` is ``None`` whenever
-        the density selector picks a non-``generated`` variant (the
-        selection reads the schedule's term statistics — never the dense
-        fold), and ``loaded`` is True when persisted source was reused
-        (a ``codegen_hits`` cache hit, zero ``codegen`` stage work).
-        """
-        variant = select_variant(
-            fused.terms, fused.rows, fused.cols, fused.result_width
-        )
-        if variant != "generated":
-            return None, False
-        source = self._load_codegen(key, fused.fingerprint)
-        if source is not None:
-            return source, True
-        source = codegen_mod.generate_source(fused)
-        self._store_codegen(key, source)
-        return source, False
-
-    def _store_codegen(self, key: CompileKey, source: str) -> None:
-        """Best-effort persist, same policy as :meth:`_store_fused`:
-        backfills run on warm kernel hits too, so a read-only shared
-        store degrades to regenerating per process, never a failed
-        deploy."""
-        path = self._codegen_path(key)
-        if path is None:
-            return
-        try:
-            atomic_write_text(path, source)
-        except OSError:
-            return
-        self._touch(key, stored=True)
-
-    def _load_codegen(self, key: CompileKey, fingerprint: str) -> str | None:
-        """Load persisted generated source; None on absence or any
-        validation failure — wrong kind, format version, fingerprint, or
-        source that does not compile to an executor — so a stale or
-        foreign file degrades to regeneration, never a wrong executor."""
-        path = self._codegen_path(key)
-        if path is None or not path.exists():
-            return None
-        try:
-            source = path.read_text()
-            codegen_mod.load_execute(source, fingerprint)
-        except Exception:
-            return None
-        self._touch(key)
-        return source
 
     # -- disk eviction -------------------------------------------------------
 

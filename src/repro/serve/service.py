@@ -149,8 +149,9 @@ def _resolved_multiply(
 
     ``label`` is the variant-qualified reporting label
     (:meth:`ShardedMultiplier.executor_label`): gate engines verbatim,
-    fused execution as ``fused:<variant>`` so telemetry distinguishes
-    the dense fold from the segmented and generated executors.
+    fused execution as ``fused:<dtype>`` so telemetry says which compute
+    dtype (``float32``, ``float64``, ``int64`` or ``object``) the fold
+    ran in.
 
     Resolution and execution are not atomic: a fault injected between
     ``resolve_engine("auto") -> "fused"`` and the shard run makes the

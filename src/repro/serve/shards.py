@@ -62,14 +62,13 @@ import numpy as np
 from repro.core.plan import plan_matrix
 from repro.core.tiling import plan_column_tiles
 from repro.hwsim.builder import CompiledCircuit, build_circuit
-from repro.hwsim.codegen import generate_source
 from repro.hwsim.fast import (
     SERVE_ENGINES,
     FastCircuit,
     executor_label,
     resolve_engine,
 )
-from repro.hwsim.fused import select_variant, validate_batch
+from repro.hwsim.fused import validate_batch
 from repro.obs.tracing import Span, SpanContext, Tracer
 from repro.serve.cache import CompileCache, compile_key, persist_artifacts
 
@@ -281,25 +280,12 @@ class ShardedMultiplier:
                         scheme=scheme,
                         tree_style=tree_style,
                     )
-                fused = fast.fuse()
-                if fast.codegen_source is None and (
-                    select_variant(
-                        fused.terms, fused.rows, fused.cols, fused.result_width
-                    )
-                    == "generated"
-                ):
-                    # The fleet resolves *all* of a shard's artifacts
-                    # from the store, so a sparse shard's generated
-                    # source must land there too — otherwise every
-                    # server pays one codegen per deploy.
-                    fast.codegen_source = generate_source(fused)
                 persist_artifacts(
                     store_dir,
                     compile_key(piece, input_width, scheme, tree_style),
                     plan,
                     fast.kernel,
-                    fused,
-                    codegen_source=fast.codegen_source,
+                    fast.fuse(),
                 )
             self.shards.append(
                 Shard(index=k, start=start, stop=stop, circuit=circuit, fast=fast)
@@ -423,13 +409,13 @@ class ShardedMultiplier:
         return resolve_engine(engine, self.has_faults)
 
     def fused_variant(self) -> str:
-        """The fused executor variant this deployment runs.
+        """The fused compute dtype this deployment runs.
 
         One of :attr:`~repro.hwsim.fused.FusedCircuit.VARIANTS`, or
-        ``"mixed"`` when column shards resolve differently (shard term
-        densities straddle the selector threshold).  Forces each
-        shard's fused executor to build — call only when fused
-        execution is (about to be) live.
+        ``"mixed"`` when column shards resolve differently (shard
+        result widths straddle a dtype boundary).  Forces each shard's
+        fused executor to build — call only when fused execution is
+        (about to be) live.
         """
         variants = {s.fast.fused_variant for s in self.shards}
         return variants.pop() if len(variants) == 1 else "mixed"
@@ -710,12 +696,13 @@ class ShardedMultiplier:
                     "busy_s": round(s.busy_s, 6),
                     "utilization": round(s.busy_s / elapsed, 6),
                 }
-                # Which fused executor this shard would run — reported
-                # only once built (never forces a build from a
-                # telemetry scrape).
-                variant = s.fast.resolved_fused_variant
-                if variant is not None:
-                    entry["fused_variant"] = variant
+                # Which fused dtype this shard runs and its exactness
+                # margin — reported only once built (never forces a
+                # build from a telemetry scrape).
+                fused = s.fast.built_fused
+                if fused is not None:
+                    entry["fused_variant"] = fused.variant
+                    entry["spare_bits"] = fused.spare_bits
                 if self.backend == "remote" and self._remotes:
                     entry.update(self._remotes[s.index].telemetry())
                 per_shard.append(entry)

@@ -193,9 +193,10 @@ class DeploymentTelemetry:
         # serves fused traffic until a fault campaign flips it to the
         # gate-level engine, and an operator should be able to see both
         # the current choice and the history on the dashboard.  Fused
-        # batches arrive variant-qualified ("fused:dense" /
-        # "fused:segmented" / "fused:generated" / "fused:mixed") so the
-        # dashboard also distinguishes which fused executor ran.
+        # batches arrive dtype-qualified ("fused:float32" /
+        # "fused:float64" / "fused:int64" / "fused:object" /
+        # "fused:mixed") so the dashboard also shows which compute dtype
+        # the fused fold ran in.
         self.engine_batches: dict[str, int] = {}
         self.effective_engine: str | None = None
         # Zero-downtime matrix swaps this deployment has been through —

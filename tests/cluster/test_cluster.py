@@ -39,6 +39,7 @@ from repro.cluster import (
 from repro.cluster.protocol import encode_frame, recv_frame, send_frame
 from repro.hwsim.faults import fault_campaign, inject_stuck_output
 from repro.serve import CompileCache, MatMulService
+from repro.serve.cache import compile_key
 
 
 def _matrix(seed=0, shape=(20, 18), sparsity=0.6):
@@ -178,7 +179,7 @@ class TestFaultsOverTheNetwork:
                 service.multiply(handle, vectors), vectors @ matrix
             )
             snap = service.telemetry(handle)
-            assert snap["engine"]["effective"] == "fused:dense"
+            assert snap["engine"]["effective"] == "fused:float32"
 
     def test_server_and_client_engine_labels_agree(self, fleet):
         """Server STATS and client telemetry name the executor alike,
@@ -197,7 +198,7 @@ class TestFaultsOverTheNetwork:
             handle = fleet.deploy_fleet(service, matrix, use_cache=False)
             service.multiply(handle, vectors)
             client, server = labels(service, handle)
-            assert client == server == {"fused:dense"}
+            assert client == server == {"fused:float32"}
             shard = handle.sharded.shards[1]
             injection = inject_stuck_output(
                 shard.circuit.netlist, shard.circuit.netlist.components[40], 1
@@ -207,7 +208,29 @@ class TestFaultsOverTheNetwork:
             finally:
                 injection.revert()
             client, server = labels(service, handle)
-            assert client == server == {"fused:dense", "bitplane"}
+            assert client == server == {"fused:float32", "bitplane"}
+
+    def test_server_and_client_spare_bits_agree(self, fleet):
+        """Both ends derive a shard's dtype and exactness margin from the
+        same stored schedule, so STATS and client stats match."""
+        matrix = _matrix(9, shape=(12, 9))
+        with fleet.remote_service() as service:
+            handle = fleet.deploy_fleet(service, matrix)
+            service.multiply(handle, _vectors(10, 4, 12))
+            handle.sharded.fused_variant()  # the client's label builds it
+            server = {}
+            for remote in handle.sharded._remotes:
+                server.update(remote.stats()["fused_kernels"])
+            for entry, shard in zip(
+                handle.sharded.utilization()["per_shard"], handle.sharded.shards
+            ):
+                stem = compile_key(matrix[:, shard.start : shard.stop]).stem
+                assert server[stem] == {
+                    "fused_variant": entry["fused_variant"],
+                    "spare_bits": entry["spare_bits"],
+                }
+                assert entry["fused_variant"] == "float32"
+                assert entry["spare_bits"] > 0
 
     def test_fault_campaign_runs_unchanged_over_the_fleet(self, fleet):
         from repro.core.plan import plan_matrix

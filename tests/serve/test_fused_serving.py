@@ -15,6 +15,7 @@ The serve layer's contract for the cycle-loop-free engine:
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ class TestAutoSelection:
             assert np.array_equal(service.multiply(handle, vectors), vectors @ matrix)
             snap = service.telemetry(handle)
             assert snap["engine"]["configured"] == "auto"
-            assert snap["engine"]["effective"] == "fused:dense"
-            assert snap["engine"]["batches"] == {"fused:dense": 1}
+            assert snap["engine"]["effective"] == "fused:float32"
+            assert snap["engine"]["batches"] == {"fused:float32": 1}
 
     def test_micro_batched_path_records_fused(self):
         matrix = _matrix(2)
@@ -53,7 +54,7 @@ class TestAutoSelection:
             result = asyncio.run(service.submit_many(handle, vectors))
             assert np.array_equal(result, vectors @ matrix)
             assert (
-                service.telemetry(handle)["engine"]["effective"] == "fused:dense"
+                service.telemetry(handle)["engine"]["effective"] == "fused:float32"
             )
 
     def test_explicit_engine_pin_overrides_auto(self):
@@ -103,7 +104,7 @@ class TestFaultFallback:
             clean = service.multiply(handle, vectors)
             assert np.array_equal(clean, vectors @ matrix)
             assert (
-                service.telemetry(handle)["engine"]["effective"] == "fused:dense"
+                service.telemetry(handle)["engine"]["effective"] == "fused:float32"
             )
 
             shard = handle.sharded.shards[0]
@@ -130,7 +131,7 @@ class TestFaultFallback:
             assert handle.sharded.resolve_engine("auto") == "fused"
             assert np.array_equal(service.multiply(handle, vectors), clean)
             assert (
-                service.telemetry(handle)["engine"]["effective"] == "fused:dense"
+                service.telemetry(handle)["engine"]["effective"] == "fused:float32"
             )
             assert service.telemetry(handle)["engine"]["batches"]["bitplane"] == 1
 
@@ -198,7 +199,7 @@ class TestWarmStartContract:
             vectors = np.random.default_rng(13).integers(-128, 128, size=(4, 16))
             assert np.array_equal(service.multiply(handle, vectors), vectors @ matrix)
             assert (
-                service.telemetry(handle)["engine"]["effective"] == "fused:dense"
+                service.telemetry(handle)["engine"]["effective"] == "fused:float32"
             )
 
     def test_pre_fused_store_backfills_the_schedule_artifact(self, tmp_path):
@@ -242,8 +243,50 @@ class TestWarmStartContract:
             entry.fast.multiply_batch(vectors, engine="fused"), vectors @ a
         )
 
+    def test_legacy_codegen_file_is_ignored_then_evicted(self, tmp_path):
+        """Older versions wrote generated executor source next to each
+        key.  Nothing loads it any more: a store holding a stale one
+        still deploys with zero compile stages, and eviction removes the
+        file with its key."""
+        matrix = _matrix(18)
+        key = CompileCache(directory=tmp_path).get(matrix).key
+        legacy = tmp_path / f"{key.stem}.codegen.py"
+        legacy.write_text(
+            "# repro-fused-codegen\n# format_version=1\n# fingerprint=stale\n"
+            "raise RuntimeError('legacy source must never execute')\n"
+        )
+        before = STAGES.snapshot()
+        cache = CompileCache(directory=tmp_path, max_age_s=0.05)
+        with MatMulService(cache=cache) as service:
+            handle = service.deploy(matrix)
+            delta = STAGES.delta(before)
+            for stage in ("plan", "build", "lower", "fuse", "codegen"):
+                assert delta.get(stage, 0) == 0, (stage, delta)
+            assert cache.kernel_hits == 1 and cache.stats()["codegen_hits"] == 0
+            vectors = np.random.default_rng(19).integers(-128, 128, size=(3, 16))
+            assert np.array_equal(service.multiply(handle, vectors), vectors @ matrix)
+        assert legacy.exists()
+        time.sleep(0.12)
+        cache.get(_matrix(19))  # a store prunes the now-expired key
+        assert not legacy.exists()
+        assert not (tmp_path / key.kernel_filename).exists()
+
 
 class TestShardResults:
+    def test_shard_stats_report_dtype_and_spare_bits(self):
+        """Each shard names its compute dtype and exactness margin once
+        its fused executor is built, and never forces the build."""
+        matrix = _matrix(21)
+        with ShardedMultiplier(matrix, shards=2) as sharded:
+            per_shard = sharded.utilization()["per_shard"]
+            assert all("spare_bits" not in entry for entry in per_shard)
+            vectors = np.random.default_rng(22).integers(-128, 128, size=(2, 16))
+            sharded.multiply_batch(vectors, engine="fused")
+            for entry, shard in zip(sharded.utilization()["per_shard"], sharded.shards):
+                fused = shard.fast.built_fused
+                assert entry["fused_variant"] == "float32"
+                assert entry["spare_bits"] == fused.spare_bits > 0
+
     def test_mixed_narrow_and_wide_shards_merge_exactly(self):
         """One <=62-bit shard and one >62-bit shard: the int64 and exact
         object column slices concatenate into one exact object result."""
