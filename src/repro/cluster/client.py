@@ -207,6 +207,10 @@ class RemoteShard:
         # exactly the events an operator reads after an incident.
         self.recorder = recorder
         self.probe_state = ProbeState(probe_backoff, clock)
+        # Round-trip times, recorded by the shard executor from the one
+        # reading that also times its ``wire`` span and profiler sample:
+        # each successful :meth:`execute` call, fault sync and
+        # reconnect-retry included.
         self.rtt = LatencyWindow(1024)
         self.remote_calls = 0
         # Batches the executor served locally because this link was down;
@@ -216,7 +220,7 @@ class RemoteShard:
         self._conn: _Connection | None = None
         self._synced: tuple | None = None
         # One request in flight per connection: the protocol is strict
-        # request/response, and the RTT window mutates under this too.
+        # request/response.
         self._lock = threading.Lock()
 
     @property
@@ -487,11 +491,9 @@ class RemoteShard:
                     "fault_sync",
                     active=wanted != _overrides_token(EMPTY_OVERRIDES),
                 )
-            start = time.perf_counter()
             _, meta, blob = conn.request(
                 batch_frame(batch, engine, trace=trace, deadline_s=deadline_s)
             )
-            self.rtt.record(time.perf_counter() - start)
             self.remote_calls += 1
             spans = meta.get("spans")
             return (

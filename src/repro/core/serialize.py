@@ -205,32 +205,25 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> None:
 
 
 def _arrays_to_npz(
-    artifact: Any,
-    path: str | pathlib.Path,
-    kind: str,
-    version: int,
-    extra: dict[str, Any] | None = None,
+    artifact: Any, path: str | pathlib.Path, kind: str, version: int
 ) -> None:
     """Shared ``.npz`` writer for flat-array artifacts (kernels, fused).
 
     Layout: one ``__header__`` entry holding a JSON string (format
     version, artifact kind, the plan fingerprint, and every scalar
     execution parameter) plus one named entry per artifact array (from
-    the class's ``SCALAR_FIELDS``/``ARRAY_FIELDS`` contract).  ``extra``
-    adds advisory metadata keys to the header (e.g. term statistics for
-    the executor selector); readers ignore keys they do not require, so
-    metadata additions never invalidate old artifacts.  The write
-    is atomic (private temp file + rename, see :func:`unique_tmp`) so
-    neither a crashed writer nor a concurrent one leaves a half-written
-    artifact for a later reader to trip on.
+    the class's ``SCALAR_FIELDS``/``ARRAY_FIELDS`` contract).  Readers
+    ignore header keys they do not require, so artifacts written with
+    extra keys (older stores carried term statistics) still load.  The
+    write is atomic (private temp file + rename, see :func:`unique_tmp`)
+    so neither a crashed writer nor a concurrent one leaves a
+    half-written artifact for a later reader to trip on.
     """
     path = pathlib.Path(path)
     header: dict[str, Any] = {"format_version": version, "kind": kind}
     for name in type(artifact).SCALAR_FIELDS:
         value = getattr(artifact, name)
         header[name] = value if isinstance(value, str) else int(value)
-    if extra:
-        header.update(extra)
     arrays = {name: getattr(artifact, name) for name in type(artifact).ARRAY_FIELDS}
     tmp = unique_tmp(path)
     try:
@@ -279,19 +272,9 @@ def _arrays_from_npz(
     return cls(**fields)
 
 
-def kernel_to_npz(
-    kernel: "LoweredKernel",
-    path: str | pathlib.Path,
-    metadata: dict[str, Any] | None = None,
-) -> None:
-    """Persist a lowered kernel as a compressed ``.npz`` artifact.
-
-    ``metadata`` adds advisory header keys — the compile cache records
-    the fused schedule's ``term_count``/``term_density`` here so the
-    executor selector can read them from the header alone (see
-    :func:`npz_header`) without loading arrays or re-fusing.
-    """
-    _arrays_to_npz(kernel, path, _KERNEL_KIND, KERNEL_FORMAT_VERSION, extra=metadata)
+def kernel_to_npz(kernel: "LoweredKernel", path: str | pathlib.Path) -> None:
+    """Persist a lowered kernel as a compressed ``.npz`` artifact."""
+    _arrays_to_npz(kernel, path, _KERNEL_KIND, KERNEL_FORMAT_VERSION)
 
 
 def kernel_from_npz(path: str | pathlib.Path) -> "LoweredKernel":
@@ -302,36 +285,17 @@ def kernel_from_npz(path: str | pathlib.Path) -> "LoweredKernel":
 
 
 def fused_to_npz(fused: "FusedKernel", path: str | pathlib.Path) -> None:
-    """Persist a fused shift-add schedule as a compressed ``.npz`` artifact.
-
-    The header always carries ``term_count`` and ``term_density``
-    (terms over ``rows * cols``) so the fused executor selector can
-    pick its tier from the header alone; artifacts written before this
-    metadata existed simply lack the keys and the selector falls back
-    to counting the loaded term arrays (a graceful backfill — re-stored
-    artifacts pick the metadata up on their next write).
-    """
-    terms = len(fused.term_out)
-    area = int(fused.rows) * int(fused.cols)
-    _arrays_to_npz(
-        fused,
-        path,
-        _FUSED_KIND,
-        FUSED_FORMAT_VERSION,
-        extra={
-            "term_count": terms,
-            "term_density": (terms / area) if area else 0.0,
-        },
-    )
+    """Persist a fused shift-add schedule as a compressed ``.npz`` artifact."""
+    _arrays_to_npz(fused, path, _FUSED_KIND, FUSED_FORMAT_VERSION)
 
 
 def npz_header(path: str | pathlib.Path) -> dict[str, Any]:
     """The parsed JSON header of any flat-array ``.npz`` artifact.
 
-    Cheap relative to loading the arrays; lets metadata consumers (the
-    executor selector, fleet tooling) inspect ``kind``, widths, and
-    term statistics without materializing the artifact.  Raises
-    ``ValueError`` for files without a header.
+    Cheap relative to loading the arrays; lets tooling inspect
+    ``kind``, format version, fingerprint and widths without
+    materializing the artifact.  Raises ``ValueError`` for files
+    without a header.
     """
     path = pathlib.Path(path)
     with np.load(path, allow_pickle=False) as data:

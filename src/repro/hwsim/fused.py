@@ -68,7 +68,6 @@ __all__ = [
     "csd_terms",
     "validate_batch",
     "segment_prefixes",
-    "term_density",
     "select_variant",
 ]
 
@@ -99,12 +98,6 @@ def segment_prefixes(term_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, term_out[starts]
 
 
-def term_density(terms: int, rows: int, cols: int) -> float:
-    """Fraction of the ``rows x cols`` area carrying CSD terms."""
-    area = rows * cols
-    return terms / area if area else 0.0
-
-
 def select_variant(terms: int, rows: int, cols: int, result_width: int) -> str:
     """The compute dtype name of the fused fold for a kernel.
 
@@ -112,8 +105,8 @@ def select_variant(terms: int, rows: int, cols: int, result_width: int) -> str:
     ``<= 53``, ``"int64"`` when ``<= 62``, else ``"object"`` (exact
     Python integers).  The name is also the executor's reporting label
     (``fused:float32``).  Only ``result_width`` decides; ``terms``,
-    ``rows`` and ``cols`` are accepted so callers holding artifact
-    metadata keep one call shape.
+    ``rows`` and ``cols`` are accepted so existing callers keep their
+    call shape.
     """
     for name, bits in _EXACT_BITS:
         if result_width <= bits:
@@ -174,8 +167,10 @@ class FusedKernel:
 
     One entry per signed CSD term: output ``term_out[i]`` accumulates
     ``term_sign[i] * (x[term_row[i]] << term_shift[i])``.  Terms are
-    sorted by output (then row, then shift), so execution is a gather, a
-    scale, and one segmented reduction — no cycle loop.
+    sorted by output (then row, then shift).  Execution
+    (:class:`FusedCircuit`) is one fold of the terms into the
+    ``(rows, cols)`` coefficient matrix, then one GEMM per batch — no
+    cycle loop.
 
     Like :class:`~repro.hwsim.fast.LoweredKernel`, a fused kernel is
     deliberately *dumb data*: picklable and serializable

@@ -1,10 +1,9 @@
 """`repro.obs` — observability for the served multiplier stack.
 
 The paper's whole argument is a latency/throughput trade-off (pipelined
-spatial multipliers vs. batched accelerators, Figs. 5–7), and the
-ROADMAP's next step — closed-loop adaptive batching and shard
-rebalancing — is a *controller over measured signals*.  This package is
-the measurement substrate those signals come from, three instruments
+spatial multipliers vs. batched accelerators, Figs. 5–7), so the
+reproduction must say where each request's time goes.  This package is
+the measurement substrate those numbers come from, three instruments
 over one serving stack:
 
 * :mod:`repro.obs.tracing` — distributed request tracing.  One

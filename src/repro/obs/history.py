@@ -1,10 +1,9 @@
 """Fleet metrics over time: a bounded ring of collected documents.
 
 :meth:`FleetMetrics.collect <repro.obs.metrics.FleetMetrics.collect>`
-answers "what is the fleet doing *right now*"; everything the SLO
-engine (:mod:`repro.obs.slo`) and the coming adaptive-batching
-controller need is the *time dimension* — how counters, rates, and
-percentiles evolve.  :class:`MetricsHistory` is that dimension:
+answers "what is the fleet doing *right now*"; what the SLO engine
+(:mod:`repro.obs.slo`) needs is the *time dimension* — how counters,
+rates, and percentiles evolve.  :class:`MetricsHistory` is that dimension:
 
 * a **bounded ring** of timestamped collection documents (default 512
   samples), filled by explicit :meth:`sample` calls or by a background

@@ -4,8 +4,8 @@ The stack already measures a lot — every deployment's
 :class:`~repro.serve.telemetry.DeploymentTelemetry` snapshot, every
 shard link's health/RTT block, every server's STATS counters — but each
 lives behind a different call on a different object.  This module
-merges them into **one JSON document per collection**, which is what an
-adaptive controller wants to read and what a dashboard wants to poll:
+merges them into **one JSON document per collection**, which is what the
+SLO engine reads and what a dashboard wants to poll:
 
 * :class:`FleetMetrics` — bind a :class:`~repro.serve.MatMulService`
   (the client-side view: deployments, batchers, shard links, compile

@@ -4,9 +4,9 @@ One served request crosses four concurrency domains — the caller's
 coroutine, the micro-batcher's coalescing loop, the shard executor's
 worker threads, and (for remote backends) a fleet server on the far
 side of a socket.  A latency number alone cannot say *where* a slow
-request spent its time; the adaptive-batching controller the ROADMAP
-calls for needs exactly that breakdown (queue-wait vs. execute is the
-knob Eq. 5 tunes).  This module is the measurement substrate:
+request spent its time; the spans give that breakdown (queue wait,
+coalesce, shard dispatch, wire, server execute).  This module is the
+measurement substrate:
 
 * :class:`Span` — one timed operation: ``trace_id`` (shared by every
   span of one request), ``span_id``, ``parent_id``, ``stage`` (a name
@@ -14,8 +14,10 @@ knob Eq. 5 tunes).  This module is the measurement substrate:
   duration, and a small free-form ``attrs`` dict.  Spans serialize to
   plain JSON dicts — which is also how server-side spans ride RESULT
   frames back to the client (:mod:`repro.cluster.protocol`).
-* :class:`Tracer` — a bounded, thread-safe span collector plus helpers
-  to start/finish spans.  A ``Tracer`` is *opt-in*: every serve-layer
+* :class:`Tracer` — a bounded, thread-safe span collector.  Every span
+  is recorded after the fact, from the one interval its boundary reads
+  for all its sinks; a span whose children must parent on it allocates
+  only its id up front.  A ``Tracer`` is *opt-in*: every serve-layer
   hook takes ``tracer=None`` and instruments nothing by default, so the
   untraced hot path pays only a ``None`` check
   (``benchmarks/bench_obs_overhead.py`` holds the traced path to <10%
@@ -37,10 +39,9 @@ import itertools
 import json
 import secrets
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 __all__ = [
     "Span",
@@ -144,49 +145,6 @@ class Span:
             raise ValueError(f"malformed span record: {data!r}") from exc
 
 
-class _ActiveSpan:
-    """A started-but-unfinished span; context manager finishes it."""
-
-    __slots__ = ("_tracer", "_span", "_started")
-
-    def __init__(self, tracer: "Tracer", span: Span, started: float) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._started = started
-
-    @property
-    def context(self) -> SpanContext:
-        return self._span.context
-
-    @property
-    def trace_id(self) -> str:
-        return self._span.trace_id
-
-    @property
-    def span_id(self) -> str:
-        return self._span.span_id
-
-    def annotate(self, **attrs: Any) -> None:
-        """Attach attributes after the span started (resolved engine ...)."""
-        self._span.attrs.update(attrs)
-
-    def finish(self) -> Span:
-        """Record the span now; idempotent (first finish wins)."""
-        if self._started is not None:
-            self._span.duration_s = time.perf_counter() - self._started
-            self._started = None
-            self._tracer.record(self._span)
-        return self._span
-
-    def __enter__(self) -> "_ActiveSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc is not None:
-            self._span.attrs.setdefault("error", f"{type(exc).__name__}: {exc}")
-        self.finish()
-
-
 class Tracer:
     """Bounded, thread-safe span collector (see module docstring).
 
@@ -194,20 +152,13 @@ class Tracer:
         capacity: spans retained (oldest evicted first).  Bounded so an
             always-on tracer in a long-lived service is a window, not a
             leak; evictions are counted in :meth:`stats`.
-        clock: wall-clock callable for span start timestamps (tests
-            inject a fake so assertions never race real time).
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._spans: deque[Span] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._clock = clock
         self.recorded = 0
 
     # -- id generation --------------------------------------------------------
@@ -220,67 +171,7 @@ class Tracer:
     def new_span_id() -> str:
         return format((_ID_BASE ^ next(_id_counter)) & _ID_MASK, "08x")
 
-    # -- span lifecycle -------------------------------------------------------
-
-    def start_span(
-        self,
-        stage: str,
-        parent: SpanContext | None = None,
-        trace_id: str | None = None,
-        **attrs: Any,
-    ) -> _ActiveSpan:
-        """Open a span; finish it via ``with`` or ``.finish()``.
-
-        With neither ``parent`` nor ``trace_id`` a fresh trace begins
-        (the submit path's root span); a ``parent`` pins both the trace
-        and the parent link.
-        """
-        if parent is not None:
-            tid, pid = parent.trace_id, parent.span_id
-        else:
-            tid, pid = (trace_id if trace_id is not None else self.new_trace_id()), None
-        # ``attrs`` is this call's own kwargs dict — no defensive copy.
-        span = Span(
-            trace_id=tid,
-            span_id=self.new_span_id(),
-            parent_id=pid,
-            stage=stage,
-            start_s=self._clock(),
-            duration_s=0.0,
-            attrs=attrs,
-        )
-        return _ActiveSpan(self, span, time.perf_counter())
-
-    def record_timed(
-        self,
-        stage: str,
-        start_s: float,
-        duration_s: float,
-        parent: SpanContext | None = None,
-        trace_id: str | None = None,
-        **attrs: Any,
-    ) -> Span:
-        """Record a span whose interval was measured externally.
-
-        The queue-wait path needs this: the batcher knows each request's
-        enqueue time and flush time but holds no open span object across
-        the wait.
-        """
-        if parent is not None:
-            tid, pid = parent.trace_id, parent.span_id
-        else:
-            tid, pid = (trace_id if trace_id is not None else self.new_trace_id()), None
-        span = Span(
-            trace_id=tid,
-            span_id=self.new_span_id(),
-            parent_id=pid,
-            stage=stage,
-            start_s=start_s,
-            duration_s=max(0.0, duration_s),
-            attrs=attrs,
-        )
-        self.record(span)
-        return span
+    # -- recording -----------------------------------------------------------
 
     def record(self, span: Span) -> None:
         """Add one finished span (local or deserialized off the wire)."""
@@ -307,8 +198,7 @@ class Tracer:
         not silently dropping).
         """
         adopted = [Span.from_dict(r) for r in records]
-        for span in adopted:
-            self.record(span)
+        self.record_many(adopted)
         return adopted
 
     # -- reading --------------------------------------------------------------

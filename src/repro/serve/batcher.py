@@ -10,8 +10,9 @@ queued request has waited ``max_delay_s`` — the classic
 throughput-versus-tail-latency deadline found in inference servers.
 
 The batcher is engine-agnostic: it owns no circuit, only an ``execute``
-callable mapping a ``(B, rows)`` array to a ``(B, cols)`` array, which
-the service binds to a :class:`~repro.serve.shards.ShardedMultiplier`.
+callable mapping a ``(B, rows)`` array to a ``(B, cols)`` array (or to
+``(array, label)``, the label naming the executor that ran the batch),
+which the service binds to a :class:`~repro.serve.shards.ShardedMultiplier`.
 Execution runs in the event loop's default thread-pool executor so the
 loop keeps accepting (and coalescing) requests while a batch simulates.
 """
@@ -89,7 +90,8 @@ class MicroBatcher:
         # queue_wait (enqueue -> flush) is histogrammed per batch —
         # unlike the tracer this needs no per-request span, so it
         # covers *all* traffic at the cost of one vectorized binning
-        # per flush.
+        # per flush — and each batch that runs adds one coalesce
+        # sample under the label ``execute`` returned with its rows.
         self._profiler = profiler
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
@@ -262,10 +264,10 @@ class MicroBatcher:
                 return
             # The *loosest* surviving deadline becomes the batch's wire
             # budget: a downstream skip is only safe once every request
-            # in the batch has expired.
-            deadlines = [e[3] for e in batch if e[3] is not None]
-            if deadlines:
-                budget = max(deadlines) - now
+            # in the batch has expired, so one request without a
+            # deadline leaves the whole batch without a budget.
+            if all(entry[3] is not None for entry in batch):
+                budget = max(entry[3] for entry in batch) - now
         self.stats.batches += 1
         self.stats.lanes_dispatched += len(batch)
         if reason == "full":
@@ -280,16 +282,18 @@ class MicroBatcher:
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    def _start_batch_spans(self, batch: list[tuple], reason: str, now_pc: float):
-        """Record each traced request's queue_wait; open the coalesce span.
+    def _trace_batch(self, batch: list[tuple], reason: str, start: float):
+        """Record each traced request's queue_wait; build the coalesce span.
 
         A coalesced batch can carry requests from *different* traces,
         and a span has one parent: the batch's ``coalesce`` span is
         parented on the first traced request (the carrier) with every
         other trace id listed in a ``linked_traces`` attribute — see
-        ``docs/observability.md``.  ``now_pc`` is the flush's one
-        perf_counter read.  Returns ``None`` when nothing in the batch
-        is traced.
+        ``docs/observability.md``.  ``start`` is the flush's one
+        perf_counter read.  The coalesce span comes back unrecorded,
+        its id allocated so shard spans can parent on it; :meth:`_run`
+        records it once the results are back.  Returns ``None`` when
+        nothing in the batch is traced.
         """
         traced = [(entry[2], entry[4]) for entry in batch if entry[2] is not None]
         if not traced:
@@ -310,17 +314,15 @@ class MicroBatcher:
                     span_id=Tracer.new_span_id(),
                     parent_id=ctx.span_id,
                     stage="queue_wait",
-                    start_s=now_wall - (now_pc - enq_pc),
-                    duration_s=max(0.0, now_pc - enq_pc),
+                    start_s=now_wall - (start - enq_pc),
+                    duration_s=max(0.0, start - enq_pc),
                     attrs={"reason": reason},
                 )
                 for ctx, enq_pc in traced
             ]
         )
         carrier = traced[0][0]
-        span = self._tracer.start_span(
-            "coalesce", parent=carrier, lanes=len(batch), reason=reason
-        )
+        attrs = {"lanes": len(batch), "reason": reason}
         linked = sorted(
             {
                 ctx.trace_id
@@ -329,8 +331,11 @@ class MicroBatcher:
             }
         )
         if linked:
-            span.annotate(linked_traces=linked)
-        return span
+            attrs["linked_traces"] = linked
+        return Span(
+            carrier.trace_id, Tracer.new_span_id(), carrier.span_id,
+            "coalesce", now_wall, 0.0, attrs,
+        )
 
     async def _run(
         self,
@@ -342,18 +347,20 @@ class MicroBatcher:
         budget: float | None = None,
     ) -> None:
         loop = asyncio.get_running_loop()
-        coalesce = None
+        coalesce = start = None
         if self._profiler is not None or self._tracer is not None:
-            # One clock read per flush feeds both sinks.
-            now_pc = time.perf_counter()
+            # One clock read per flush: it ends every request's queue
+            # wait and starts the batch's coalesce interval.
+            start = time.perf_counter()
             if self._profiler is not None:
                 # One vectorized binning per dispatched batch covers
                 # every request's enqueue -> dispatch wait, traced or not.
                 self._profiler.record_many(
-                    "queue_wait", [now_pc - entry[4] for entry in batch]
+                    "queue_wait", [start - entry[4] for entry in batch]
                 )
             if self._tracer is not None:
-                coalesce = self._start_batch_spans(batch, reason, now_pc)
+                coalesce = self._trace_batch(batch, reason, start)
+        results = error = None
         try:
             # Inside the try so even a shape mismatch at stack time fails
             # every waiting future instead of leaving them pending forever.
@@ -369,16 +376,29 @@ class MicroBatcher:
             run = functools.partial(self._execute, vectors, **kwargs)
             results = await loop.run_in_executor(None, run)
         except Exception as exc:  # propagate to every caller in the batch
+            error = exc
+        label = ""
+        if isinstance(results, tuple):
+            results, label = results
+        if start is not None:
+            # The batch's one coalesce reading: flush until the results
+            # are back on the loop, thread-pool hop included.  It feeds
+            # the span (a failed batch's too, marked ``error``) and, for
+            # a batch that ran, the profiler sample under its label.
+            elapsed = time.perf_counter() - start
             if coalesce is not None:
-                coalesce.annotate(error=f"{type(exc).__name__}: {exc}")
+                coalesce.duration_s = elapsed
+                if error is not None:
+                    coalesce.attrs["error"] = f"{type(error).__name__}: {error}"
+                self._tracer.record(coalesce)
+            if self._profiler is not None and error is None:
+                self._profiler.record("coalesce", elapsed, variant=label)
+        if error is not None:
             for entry in batch:
                 future = entry[1]
                 if not future.done():
-                    future.set_exception(exc)
+                    future.set_exception(error)
             return
-        finally:
-            if coalesce is not None:
-                coalesce.finish()
         for entry, row in zip(batch, results):
             future = entry[1]
             if not future.done():

@@ -92,7 +92,7 @@ from repro.core.serialize import (
 )
 from repro.hwsim.builder import CompiledCircuit, build_circuit
 from repro.hwsim.fast import FastCircuit, LoweredKernel
-from repro.hwsim.fused import FusedKernel, fuse, term_density
+from repro.hwsim.fused import FusedKernel, fuse
 
 __all__ = [
     "CompileKey",
@@ -213,21 +213,9 @@ def persist_artifacts(
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     atomic_write_text(directory / key.filename, json.dumps(payload))
-    kernel_to_npz(
-        kernel,
-        directory / key.kernel_filename,
-        metadata=_term_metadata(fused) if fused is not None else None,
-    )
+    kernel_to_npz(kernel, directory / key.kernel_filename)
     if fused is not None:
         fused_to_npz(fused, directory / key.fused_filename)
-
-
-def _term_metadata(fused: FusedKernel) -> dict:
-    """Advisory term statistics for a kernel artifact header."""
-    return {
-        "term_count": fused.terms,
-        "term_density": term_density(fused.terms, fused.rows, fused.cols),
-    }
 
 
 @dataclass
@@ -353,7 +341,7 @@ class CompileCache:
         circuit = build_circuit(plan)
         fast = FastCircuit.from_compiled(circuit)
         fused = fast.fuse()
-        self._store_kernel(key, fast.kernel, fused=fused)
+        self._store_kernel(key, fast.kernel)
         self._store_fused(key, fused)
         entry = CompiledEntry(
             key=key,
@@ -607,20 +595,11 @@ class CompileCache:
         self._touch(key)
         return plan, fingerprint
 
-    def _store_kernel(
-        self,
-        key: CompileKey,
-        kernel: LoweredKernel,
-        fused: FusedKernel | None = None,
-    ) -> None:
+    def _store_kernel(self, key: CompileKey, kernel: LoweredKernel) -> None:
         path = self._kernel_path(key)
         if path is None:
             return
-        kernel_to_npz(
-            kernel,
-            path,
-            metadata=_term_metadata(fused) if fused is not None else None,
-        )
+        kernel_to_npz(kernel, path)
         self._touch(key, stored=True)
 
     def _load_kernel(self, key: CompileKey) -> LoweredKernel | None:

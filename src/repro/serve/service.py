@@ -231,7 +231,7 @@ class MatMulService:
         the threshold.  ``profiler`` (a
         :class:`~repro.obs.profile.StageProfiler`) continuously
         histograms per-stage durations — ``queue_wait`` and
-        ``coalesce`` here and in the batcher, ``shard_dispatch`` /
+        ``coalesce`` in the batcher, ``shard_dispatch`` /
         ``wire`` in the shard executor — keyed by the executor variant
         label.  All default to ``None``: the uninstrumented hot path
         pays only ``None`` checks.  ``telemetry_window`` sizes each
@@ -370,24 +370,18 @@ class MatMulService:
         # and the very next batch runs against the new matrix, with no
         # batcher rebuild and no routing table beyond this attribute.
         # ``trace`` arrives from a tracing batcher (the coalesce span's
-        # context) and threads through to the shard executor.
+        # context) and threads through to the shard executor.  The
+        # resolved executor label rides back with the rows: the batcher
+        # keys its coalesce sample by it.
         def _execute(
             batch: np.ndarray, trace=None, deadline_s: float | None = None
-        ) -> np.ndarray:
-            start = time.perf_counter() if self.profiler is not None else 0.0
+        ) -> tuple[np.ndarray, str]:
             effective, out = _resolved_multiply(
                 deployment.sharded, engine, batch, trace=trace,
                 deadline_s=deadline_s,
             )
-            if self.profiler is not None:
-                # The batch's coalesced execution, keyed by the engine
-                # it actually resolved to — the per-variant cost
-                # distribution the profiler exists to expose.
-                self.profiler.record(
-                    "coalesce", time.perf_counter() - start, variant=effective
-                )
             telemetry.record_batch(batch.shape[0], engine=effective)
-            return out
+            return out, effective
 
         def _validate(vector: np.ndarray) -> None:
             deployment.sharded.validate_vector(vector)
@@ -677,9 +671,7 @@ class MatMulService:
         # The root span is recorded post-hoc from the interval submit
         # measures for telemetry anyway: only its *context* (the ids
         # children parent onto) must exist up front.  This keeps the
-        # per-request tracing cost to id generation plus one record —
-        # the span-object-per-call shape of ``start_span`` is reserved
-        # for the per-batch spans, where it amortizes.
+        # per-request tracing cost to id generation plus one record.
         if self.tracer is None:
             ctx = None
         else:

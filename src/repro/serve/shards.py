@@ -69,7 +69,7 @@ from repro.hwsim.fast import (
     resolve_engine,
 )
 from repro.hwsim.fused import validate_batch
-from repro.obs.tracing import Span, SpanContext, Tracer
+from repro.obs.tracing import Span, SpanContext, Tracer, trace_meta
 from repro.serve.cache import CompileCache, compile_key, persist_artifacts
 
 __all__ = [
@@ -512,59 +512,68 @@ class ShardedMultiplier:
         kernel, same overrides, bit-identical result — and marks the
         traced dispatch span's ``attrs`` with ``local_fallback``.
 
-        When tracing, the dispatch gains a ``wire`` child covering the
-        socket round-trip; the wire span's context rides the EXECUTE
-        frame, and the server's ``server_execute`` span comes back in
-        the RESULT for the tracer to adopt — so the client holds a
-        single tree linked by propagated ids, not clock math.
+        The wire is booked from one clock reading around the
+        ``RemoteShard.execute`` call, fault sync and reconnect-retry
+        included.  It feeds the link's ``rtt`` window and the
+        profiler's ``wire`` histogram when the call succeeds (a
+        fallback's time belongs to its local ``shard_dispatch``) and,
+        when tracing, the ``wire`` span, recorded afterwards and marked
+        ``error`` when the call failed.  Only the wire span's id exists
+        up front: it rides the EXECUTE frame, and the server's
+        ``server_execute`` span comes back in the RESULT parented on it,
+        so the client holds a single tree linked by propagated ids, not
+        clock math.
         """
         from repro.cluster.client import RemoteShardError
 
         remote = self._remotes[shard.index]
         overrides = shard.fast.fault_overrides()
+        wire = error = None
+        spans: list = []
+        if dispatch is not None:
+            wire = SpanContext(dispatch.trace_id, Tracer.new_span_id())
+            start_wall = time.time()
+        start = time.perf_counter()
         try:
-            wire_start = time.perf_counter()
-            if dispatch is not None:
-                with self.tracer.start_span(
-                    "wire",
-                    parent=dispatch,
-                    endpoint=remote.endpoint,
-                    shard=shard.index,
-                ) as wire:
-                    out, _, _, spans = remote.execute(
-                        batch,
-                        engine,
-                        overrides,
-                        trace=wire.context.to_meta(),
-                        deadline_s=deadline_s,
-                    )
-                    wire.annotate(server_spans=len(spans))
-                if spans:
-                    self.tracer.adopt(spans)
-            else:
-                out, _, _, _ = remote.execute(
-                    batch, engine, overrides, deadline_s=deadline_s
-                )
-        except RemoteShardError as exc:
-            remote.local_fallbacks += 1
-            if self.recorder is not None:
-                self.recorder.record(
-                    "local_fallback",
-                    endpoint=remote.endpoint,
-                    shard=shard.index,
-                    error=str(exc),
-                )
-            if attrs is not None:
-                attrs["local_fallback"] = True
-            return shard.fast.multiply_batch(batch, engine=engine, overrides=overrides)
-        if self.profiler is not None:
-            # The successful round-trip only: a fallback's time belongs
-            # to its local shard_dispatch, not to a wire that was never
-            # completed.
-            self.profiler.record(
-                "wire", time.perf_counter() - wire_start, variant=label
+            out, _, _, spans = remote.execute(
+                batch, engine, overrides, trace=trace_meta(wire),
+                deadline_s=deadline_s,
             )
-        return out
+        except Exception as exc:
+            error = exc
+        elapsed = time.perf_counter() - start
+        if wire is not None:
+            wire_attrs = {"endpoint": remote.endpoint, "shard": shard.index}
+            if error is None:
+                wire_attrs["server_spans"] = len(spans)
+            else:
+                wire_attrs["error"] = f"{type(error).__name__}: {error}"
+            self.tracer.record(
+                Span(
+                    wire.trace_id, wire.span_id, dispatch.span_id, "wire",
+                    start_wall, elapsed, wire_attrs,
+                )
+            )
+            if spans:
+                self.tracer.adopt(spans)
+        if error is None:
+            remote.rtt.record(elapsed)
+            if self.profiler is not None:
+                self.profiler.record("wire", elapsed, variant=label)
+            return out
+        if not isinstance(error, RemoteShardError):
+            raise error
+        remote.local_fallbacks += 1
+        if self.recorder is not None:
+            self.recorder.record(
+                "local_fallback",
+                endpoint=remote.endpoint,
+                shard=shard.index,
+                error=str(error),
+            )
+        if attrs is not None:
+            attrs["local_fallback"] = True
+        return shard.fast.multiply_batch(batch, engine=engine, overrides=overrides)
 
     def multiply_batch(
         self,

@@ -93,8 +93,8 @@ class RateWindow:
     The lifetime ``products / uptime`` quotient answers "how much work
     has this deployment ever done" but decays toward zero the moment
     traffic stops — a deployment idle for an hour reports ~0 rps
-    forever, which is useless to an adaptive controller that needs the
-    *current* arrival rate.  This window answers "how fast right now":
+    forever, which says nothing about the *current* arrival rate.  This
+    window answers "how fast right now":
     events are counted into coarse time buckets (1 s by default) and
     the rate is the bucket sum over the window span, so memory is
     O(window/bucket) regardless of traffic volume.
@@ -181,8 +181,7 @@ class DeploymentTelemetry:
         self._started = clock()
         # Windowed rates alongside the lifetime quotient: the lifetime
         # ``products / uptime`` number never recovers from an idle
-        # stretch, while the adaptive-batching controller needs the
-        # *current* arrival rate to pick a flush deadline.
+        # stretch, while dashboards and SLOs need the *current* rate.
         self._arrivals = RateWindow(window_s=rate_window_s, clock=clock)
         self._completions = RateWindow(window_s=rate_window_s, clock=clock)
         self.requests = 0
@@ -218,9 +217,8 @@ class DeploymentTelemetry:
     def record_arrival(self, count: int = 1) -> None:
         """Requests *offered* (called at submit time, before queueing).
 
-        Feeds the windowed arrival rate — the load signal an adaptive
-        batching controller reacts to, distinct from the completion
-        rate when the service is falling behind.
+        Feeds the windowed arrival rate — the offered load, distinct
+        from the completion rate when the service is falling behind.
         """
         self._arrivals.record(count)
 
@@ -333,8 +331,7 @@ class DeploymentTelemetry:
                 # toward zero over any idle stretch and never recovers.
                 "throughput_rps": round(self.products / elapsed, 3),
                 # Windowed rates: what's happening *now*.  These are the
-                # signals the adaptive controller and the fleet rollup
-                # (repro.obs.metrics) actually consume.
+                # signals the fleet rollup (repro.obs.metrics) consumes.
                 "throughput_rps_windowed": round(self._completions.rate(), 3),
                 "arrival_rate_rps": round(self._arrivals.rate(), 3),
                 "latency_s": self._latency.summary(),

@@ -77,6 +77,28 @@ class TestWireDeadlines:
             assert remote.local_fallbacks == 0
             assert handle.telemetry.snapshot()["admission"]["expired"] == 0
 
+    def test_a_request_without_deadline_never_expires(self, fleet):
+        """Coalesced with a request whose budget is nearly spent, a
+        request with no deadline must not inherit that budget: the batch
+        forwards none, so no server can refuse it as expired."""
+        matrix = _matrix(5)
+        vectors = np.random.default_rng(5).integers(-80, 81, size=(2, 10))
+        budgets = np.random.default_rng(6).uniform(0.002, 0.0023, size=60)
+        with fleet.remote_service(max_delay_s=0.002) as service:
+            handle = fleet.deploy_fleet(service, matrix)
+
+            async def trial(budget):
+                return await asyncio.gather(
+                    service.submit(handle, vectors[0]),
+                    service.submit(handle, vectors[1], deadline_s=budget),
+                    return_exceptions=True,
+                )
+
+            for budget in budgets:
+                free, _ = asyncio.run(trial(float(budget)))
+                assert not isinstance(free, Exception), free
+                assert np.array_equal(free, vectors[0] @ matrix)
+
     def test_malformed_deadline_meta_is_refused(self, fleet):
         import socket
         import zlib

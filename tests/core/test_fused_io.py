@@ -19,6 +19,7 @@ from repro.core.serialize import (
     FUSED_FORMAT_VERSION,
     fused_from_npz,
     fused_to_npz,
+    kernel_from_npz,
     kernel_to_npz,
     npz_header,
 )
@@ -89,48 +90,39 @@ class TestRoundTrip:
         )
 
 
-class TestTermMetadata:
-    """Term statistics ride in the .npz header so the executor selector
-    can decide from metadata alone — without loading term arrays or
-    materializing the dense fold."""
+def _add_header_keys(path, **keys):
+    """Rewrite an artifact's header with extra keys, as older stores
+    wrote them (``term_count``/``term_density``)."""
+    with np.load(path, allow_pickle=False) as data:
+        entries = {k: data[k] for k in data.files}
+    header = json.loads(str(entries.pop("__header__")[()]))
+    header.update(keys)
+    np.savez_compressed(path, __header__=json.dumps(header), **entries)
 
-    def test_fused_header_carries_term_count_and_density(self, tmp_path):
-        _, _, fused, _ = _fused(seed=7)
-        path = tmp_path / "m.fused.npz"
-        fused_to_npz(fused, path)
-        header = npz_header(path)
-        assert header["term_count"] == fused.terms
-        assert header["term_density"] == pytest.approx(
-            fused.terms / (fused.rows * fused.cols)
-        )
+
+class TestTermMetadata:
+    """Headers carry no term statistics; artifacts from older stores that
+    did still load, because readers ignore keys they do not need."""
 
     def test_kernel_header_accepts_extra_metadata(self, tmp_path):
         _, circuit, fused, _ = _fused(seed=8)
+        kernel = lower(circuit)
         path = tmp_path / "k.kernel.npz"
-        kernel_to_npz(
-            lower(circuit),
-            path,
-            metadata={"term_count": fused.terms, "term_density": 0.25},
-        )
-        header = npz_header(path)
-        assert header["term_count"] == fused.terms
-        assert header["term_density"] == 0.25
+        kernel_to_npz(kernel, path)
+        _add_header_keys(path, term_count=fused.terms, term_density=0.25)
+        assert npz_header(path)["term_density"] == 0.25
+        assert kernel_from_npz(path).equivalent(kernel)
 
     def test_pre_metadata_artifacts_still_load(self, tmp_path):
-        """Graceful backfill: stores written before the metadata existed
-        have no term_count key, and readers must not care."""
-        _, _, fused, vectors = _fused(seed=9)
-        path = tmp_path / "old.fused.npz"
+        """Fused artifacts are written without term keys, and load
+        whether or not an older store added them."""
+        _, _, fused, _ = _fused(seed=9)
+        path = tmp_path / "f.fused.npz"
         fused_to_npz(fused, path)
-        with np.load(path, allow_pickle=False) as data:
-            entries = {k: data[k] for k in data.files}
-        header = json.loads(str(entries.pop("__header__")[()]))
-        header.pop("term_count")
-        header.pop("term_density")
-        np.savez_compressed(path, __header__=json.dumps(header), **entries)
-        loaded = fused_from_npz(path)
-        assert loaded.equivalent(fused)
         assert "term_count" not in npz_header(path)
+        assert fused_from_npz(path).equivalent(fused)
+        _add_header_keys(path, term_count=fused.terms, term_density=0.5)
+        assert fused_from_npz(path).equivalent(fused)
 
     def test_npz_header_rejects_headerless_archives(self, tmp_path):
         path = tmp_path / "raw.npz"

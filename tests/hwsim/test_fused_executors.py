@@ -28,7 +28,6 @@ from repro.hwsim.fused import (
     fuse,
     segment_prefixes,
     select_variant,
-    term_density,
 )
 
 
@@ -213,10 +212,6 @@ class TestSelectorPolicy:
             "int64",
             "object",
         ]
-
-    def test_density_of_an_empty_matrix_is_zero(self):
-        assert term_density(0, 0, 5) == 0.0
-        assert term_density(0, 5, 0) == 0.0
 
     def test_auto_variant_matches_the_selector(self):
         rng = np.random.default_rng(21)

@@ -89,6 +89,31 @@ class TestLocalServiceTracing:
         for trace_id in traces:
             assert len(_find(tracer.spans(trace_id), "queue_wait")) == 1
 
+    def test_a_failed_batch_records_its_coalesce_span_with_the_error(self):
+        from repro.obs import StageProfiler
+
+        tracer, profiler = Tracer(), StageProfiler()
+        matrix = _matrix(3, shape=(6, 5))
+        with MatMulService(
+            cache=CompileCache(), tracer=tracer, profiler=profiler
+        ) as service:
+            handle = service.deploy(matrix, shards=1)
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("shard on fire")
+
+            handle.sharded.multiply_batch = boom
+            with pytest.raises(RuntimeError, match="on fire"):
+                asyncio.run(service.submit(handle, np.ones(6, dtype=np.int64)))
+        (coalesce,) = _find(tracer.spans(), "coalesce")
+        assert coalesce.attrs["error"] == "RuntimeError: shard on fire"
+        assert coalesce.duration_s > 0.0
+        (request,) = _find(tracer.spans(), "request")
+        assert coalesce.parent_id == request.span_id
+        assert "error" in request.attrs
+        # The profiler books only batches that ran.
+        assert "coalesce" not in StageProfiler.stage_totals(profiler.snapshot())
+
     def test_untraced_service_records_nothing(self):
         matrix = _matrix(3, shape=(6, 5))
         with MatMulService(cache=CompileCache()) as service:
@@ -271,16 +296,37 @@ class TestFleetProfiling:
 
         matrix = _matrix()
         profiler = StageProfiler()
+        tracer = Tracer()
         with ClusterController(
             tmp_path / "store", profile_servers=True
         ) as controller:
             controller.start_local_fleet(3)
-            with controller.remote_service(profiler=profiler) as service:
+            with controller.remote_service(
+                profiler=profiler, tracer=tracer, max_batch=4
+            ) as service:
                 handle = controller.deploy_fleet(service, matrix)
-                vector = np.arange(20, dtype=np.int64) - 9
-                row = asyncio.run(service.submit(handle, vector))
-                assert np.array_equal(row, vector @ matrix)
+                vectors = np.arange(160, dtype=np.int64).reshape(8, 20) - 80
+                rows = asyncio.run(service.submit_many(handle, vectors))
+                assert np.array_equal(rows, vectors @ matrix)
                 doc = FleetMetrics(service=service).collect()
+                rtt_samples = [
+                    s for r in handle.sharded._remotes for s in r.rtt._samples
+                ]
+        # One reading per boundary feeds every sink: the coalesce spans
+        # and the profiler's coalesce samples are the same intervals, and
+        # so are the wire spans, wire samples and the links' RTT windows
+        # (equal up to the profiler's 1e-9 s rounding of its sums).
+        client = StageProfiler.stage_totals(profiler.snapshot())
+        for stage in ("coalesce", "wire"):
+            spans = _find(tracer.spans(), stage)
+            assert len(spans) == client[stage]["count"] >= 2
+            assert sum(s.duration_s for s in spans) == pytest.approx(
+                client[stage]["sum"], rel=0, abs=1e-9
+            )
+        assert len(rtt_samples) == client["wire"]["count"]
+        assert sum(rtt_samples) == pytest.approx(
+            client["wire"]["sum"], rel=0, abs=1e-9
+        )
         # Every server's STATS carried its own server_execute histogram.
         profiled = [s for s in doc["servers"] if "profile" in s]
         assert len(profiled) == 3
@@ -304,6 +350,40 @@ class TestFleetProfiling:
         text = to_prometheus(doc)
         assert 'stage="server_execute"' in text
         assert "# TYPE repro_stage_duration_seconds histogram" in text
+
+    def test_a_failed_wire_is_a_span_not_a_sample(self, tmp_path):
+        """A dead link's wire span is recorded, marked ``error``; its
+        time goes to the local fallback's shard_dispatch, not to the
+        profiler's wire histogram or the link's RTT window."""
+        from repro.obs import StageProfiler
+
+        tracer, profiler = Tracer(), StageProfiler()
+        matrix = _matrix(9, shape=(10, 8))
+        vector = np.arange(10, dtype=np.int64)
+        with ClusterController(tmp_path / "store") as controller:
+            controller.start_local_fleet(1)
+            with controller.remote_service(
+                tracer=tracer, profiler=profiler
+            ) as service:
+                handle = controller.deploy_fleet(service, matrix, shards=1)
+                asyncio.run(service.submit(handle, vector))
+                controller.kill_server(0)
+                row = asyncio.run(service.submit(handle, vector))
+                assert np.array_equal(row, vector @ matrix)
+                remote = handle.sharded._remotes[0]
+                assert len(remote.rtt) == 1
+        spans = tracer.spans(tracer.trace_ids()[-1])
+        (tree,) = span_tree(spans)
+        assert tree["span"].stage == "request"
+        (wire,) = _find(spans, "wire")
+        assert "RemoteShardError" in wire.attrs["error"]
+        assert "server_spans" not in wire.attrs
+        (dispatch,) = _find(spans, "shard_dispatch")
+        assert dispatch.attrs["local_fallback"] is True
+        assert wire.parent_id == dispatch.span_id
+        totals = StageProfiler.stage_totals(profiler.snapshot())
+        assert totals["wire"]["count"] == 1
+        assert totals["shard_dispatch"]["count"] == 2
 
     def test_unprofiled_fleet_stats_carry_no_profile(self, fleet):
         from repro.obs import FleetMetrics

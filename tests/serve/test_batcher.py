@@ -7,6 +7,7 @@ logic, not the simulator.
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -170,3 +171,38 @@ class TestDrainAndErrors:
 
     def test_empty_stats(self):
         assert BatcherStats().mean_occupancy(64) == 0.0
+
+
+class TestDeadlineBudget:
+    def _captured_kwargs(self, deadlines):
+        """Submit one vector per deadline (relative seconds or None) into
+        one batch; return the keywords ``execute`` was called with."""
+        calls = []
+
+        def execute(batch, **kwargs):
+            calls.append(kwargs)
+            return _execute(batch)
+
+        batcher = MicroBatcher(execute, max_batch=len(deadlines), max_delay_s=60.0)
+
+        async def main():
+            now = time.monotonic()
+            vecs = _vectors(len(deadlines))
+            await asyncio.gather(
+                *(
+                    batcher.submit(v, deadline=None if d is None else now + d)
+                    for v, d in zip(vecs, deadlines)
+                )
+            )
+
+        asyncio.run(main())
+        (kwargs,) = calls
+        return kwargs
+
+    def test_a_request_without_deadline_leaves_the_batch_unbudgeted(self):
+        assert "deadline_s" not in self._captured_kwargs([None, 5.0])
+        assert "deadline_s" not in self._captured_kwargs([5.0, None])
+
+    def test_the_loosest_deadline_is_the_batch_budget(self):
+        budget = self._captured_kwargs([1.0, 5.0])["deadline_s"]
+        assert 4.0 < budget <= 5.0
