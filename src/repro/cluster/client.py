@@ -36,13 +36,12 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.cluster.health import BackoffPolicy, ProbeState
 from repro.cluster.protocol import (
-    EMPTY_OVERRIDES,
     ERR_AUTH,
     ERR_EXPIRED,
     ERR_PROTOCOL,
@@ -59,6 +58,7 @@ from repro.cluster.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.hwsim.fast import CARRY_KINDS, EMPTY_OVERRIDES
 from repro.serve.admission import DeadlineExceeded
 from repro.serve.telemetry import LatencyWindow
 
@@ -74,14 +74,14 @@ class RemoteShardError(RuntimeError):
     """This shard cannot currently be served remotely (fall back local)."""
 
 
-def _overrides_token(overrides: tuple[list, dict]) -> tuple:
+def _overrides_token(overrides: tuple[Sequence, Mapping]) -> tuple:
     """Hashable normal form for change detection."""
     stuck_out, carry = overrides
     return (
         tuple((int(i), int(v)) for i, v in stuck_out),
         tuple(
             (kind, tuple((int(s), int(v)) for s, v in carry.get(kind, ())))
-            for kind in ("add", "sub", "neg")
+            for kind in CARRY_KINDS
         ),
     )
 
@@ -434,7 +434,7 @@ class RemoteShard:
         self,
         batch: np.ndarray,
         engine: str,
-        overrides: tuple[list, dict] | None = None,
+        overrides: tuple[Sequence, Mapping] | None = None,
         trace: dict[str, Any] | None = None,
         deadline_s: float | None = None,
     ) -> tuple[np.ndarray, str, float, list[dict[str, Any]]]:

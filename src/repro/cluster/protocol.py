@@ -80,7 +80,7 @@ import socket
 import struct
 import zlib
 from enum import IntEnum
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -90,7 +90,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "SUPPORTED_VERSIONS",
     "MAX_FRAME_BYTES",
-    "EMPTY_OVERRIDES",
     "ERR_AUTH",
     "ERR_EXPIRED",
     "ERR_PROTOCOL",
@@ -105,7 +104,6 @@ __all__ = [
     "read_frame",
     "encode_overrides",
     "decode_overrides",
-    "overrides_active",
     "batch_frame",
     "result_frame",
     "frame_array",
@@ -278,22 +276,10 @@ async def read_frame(
 
 # -- frame bodies -------------------------------------------------------------
 
-#: The fault-override schedule of a fault-free connection — the shape
-#: :meth:`FastCircuit.fault_overrides` returns with nothing injected.
-#: Shared by both protocol ends so the carry-kind set lives in one place.
-EMPTY_OVERRIDES: tuple[list, dict] = ([], {"add": [], "sub": [], "neg": []})
-
-
-def overrides_active(overrides: tuple[list, dict]) -> bool:
-    """True when the schedule would actually fault an execution."""
-    stuck_out, carry = overrides
-    return bool(stuck_out) or any(carry.values())
-
-
-def encode_overrides(overrides: tuple[list, dict]) -> dict[str, Any]:
+def encode_overrides(overrides: tuple[Sequence, Mapping]) -> dict[str, Any]:
     """JSON form of an engine fault-override schedule.
 
-    The exact structure :meth:`FastCircuit.fault_overrides` returns —
+    The schedule format :mod:`repro.hwsim.fast` defines —
     ``(stuck_out, carry)`` with tiny index/value pair lists — which is
     what makes live fault injection replayable on a server that holds
     only the kernel.
@@ -309,7 +295,12 @@ def encode_overrides(overrides: tuple[list, dict]) -> dict[str, Any]:
 
 
 def decode_overrides(meta: dict[str, Any]) -> tuple[list, dict]:
-    """Inverse of :func:`encode_overrides`, validated."""
+    """Inverse of :func:`encode_overrides`, structure checked.
+
+    Whether the schedule fits a kernel is
+    :func:`repro.hwsim.fast.check_overrides`'s question, which the shard
+    server asks against its loaded kernel.
+    """
     try:
         stuck_out = [(int(i), int(v)) for i, v in meta["stuck"]]
         carry = {

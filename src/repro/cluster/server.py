@@ -12,7 +12,11 @@ Ship the kernel once, stream batches: an asyncio TCP server that
   overrides are active (and whenever the client pins a gate engine);
 * **replays faults deterministically**: FAULT frames install the exact
   override schedule :meth:`FastCircuit.fault_overrides` produces, so a
-  client-side fault campaign stays bit-exact across the network;
+  client-side fault campaign stays bit-exact across the network.  Each
+  schedule is checked against the loaded kernel
+  (:func:`repro.hwsim.fast.check_overrides`) before it is kept, so a
+  schedule the engines cannot apply is refused at its FAULT frame, never
+  at a later EXECUTE;
 * answers STATS with its counters (loads, executes, per-engine batches,
   store statistics, and per kernel run fused its compute dtype and
   exactness margin) for fleet dashboards.
@@ -43,10 +47,16 @@ import threading
 import time
 from typing import Any
 
-from repro.hwsim.fast import SERVE_ENGINES, executor_label, resolve_engine
+from repro.hwsim.fast import (
+    EMPTY_OVERRIDES,
+    SERVE_ENGINES,
+    check_overrides,
+    executor_label,
+    overrides_active,
+    resolve_engine,
+)
 from repro.serve.cache import CompileCache, CompileKey
 from repro.cluster.protocol import (
-    EMPTY_OVERRIDES,
     ERR_AUTH,
     ERR_EXPIRED,
     ERR_PROTOCOL,
@@ -58,7 +68,6 @@ from repro.cluster.protocol import (
     decode_overrides,
     encode_frame,
     frame_array,
-    overrides_active,
     read_frame,
     result_frame,
 )
@@ -73,7 +82,7 @@ class _Connection:
         self.fast = None  # FastCircuit, after a successful LOAD
         self.key: CompileKey | None = None
         self.columns: tuple[int, int] | None = None
-        self.overrides: tuple[list, dict] = EMPTY_OVERRIDES
+        self.overrides = EMPTY_OVERRIDES
 
 
 class ShardServer:
@@ -470,11 +479,22 @@ class ShardServer:
         }
 
     def _fault(self, state: _Connection, meta: dict) -> bytes:
+        if state.fast is None:
+            return _error("not-loaded", "FAULT before a successful LOAD")
         action = meta.get("action")
         if action == "clear":
             state.overrides = EMPTY_OVERRIDES
         elif action == "set":
-            state.overrides = decode_overrides(meta)
+            overrides = decode_overrides(meta)
+            try:
+                check_overrides(overrides, state.fast.kernel)
+            except ValueError as exc:
+                # Kept, it would fail every later EXECUTE on this
+                # connection; refused, the previous schedule stays.
+                raise ProtocolError(
+                    f"fault override frame does not fit the loaded kernel: {exc}"
+                ) from exc
+            state.overrides = overrides
             self._count("faults_set")
         else:
             raise ProtocolError(f"unknown FAULT action {action!r}")

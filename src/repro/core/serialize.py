@@ -103,7 +103,7 @@ _FORMAT_VERSION = 1
 #: Version of the ``.npz`` lowered-kernel artifact layout.  Bump on any
 #: change to the header fields, array set, or engine semantics the
 #: arrays encode; old readers must refuse newer artifacts.
-KERNEL_FORMAT_VERSION = 1
+KERNEL_FORMAT_VERSION = 2
 
 #: Version of the ``.npz`` fused-kernel (shift-add schedule) layout.
 #: Same bump policy as :data:`KERNEL_FORMAT_VERSION`.

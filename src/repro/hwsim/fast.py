@@ -57,18 +57,21 @@ All engines honour faults injected on the underlying
 :class:`~repro.hwsim.netlist.Netlist` (``stuck_output`` applied
 post-commit, ``stuck_carry`` pre-compute), matching the object engine's
 semantics exactly, so verification campaigns may run on whichever engine
-is fastest for the batch at hand.  Lowering snapshots any faults present
-on the netlist into the kernel (so persisted faulty kernels stay
-faulty), while a :class:`FastCircuit` bound to a live netlist re-reads
-the injected fault set on every call; the snapshot/live distinction is
-also what lets remote shards replay the client's current faults
-deterministically (see ``overrides`` on :meth:`FastCircuit.multiply_batch`).
+is fastest for the batch at hand.  Faults take exactly two forms, and
+neither is part of the kernel: live faults on a netlist, which a
+:class:`FastCircuit` bound to that netlist re-reads on every call, and a
+per-call override schedule (``overrides`` on
+:meth:`FastCircuit.multiply_batch`, the format this module owns), which
+is how a remote shard holding only the kernel replays the client's
+current faults.  :func:`lower` therefore refuses a faulted netlist
+rather than drop its faults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -87,6 +90,10 @@ __all__ = [
     "FastCircuit",
     "LoweredKernel",
     "lower",
+    "CARRY_KINDS",
+    "EMPTY_OVERRIDES",
+    "overrides_active",
+    "check_overrides",
     "ALL_ENGINES",
     "SERVE_ENGINES",
     "resolve_engine",
@@ -98,9 +105,22 @@ __all__ = [
 _WORD_BITS = 64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# Carry-bearing primitive classes, in the order their kind codes are
-# assigned inside a LoweredKernel's fault snapshot arrays.
+#: Carry-bearing primitive classes: the keys of an override schedule's
+#: ``carry`` map.
 CARRY_KINDS = ("add", "sub", "neg")
+
+#: The override schedule of a fault-free execution.  Immutable, so every
+#: caller shares this one instance.
+EMPTY_OVERRIDES: tuple[tuple, Mapping] = (
+    (),
+    MappingProxyType({kind: () for kind in CARRY_KINDS}),
+)
+
+
+def overrides_active(overrides: tuple[Sequence, Mapping]) -> bool:
+    """True when the schedule would actually fault an execution."""
+    stuck_out, carry = overrides
+    return bool(stuck_out) or any(carry.values())
 
 
 def pack_lanes(bits: np.ndarray) -> np.ndarray:
@@ -139,19 +159,16 @@ class LoweredKernel:
 
     Everything the cycle engines touch, and nothing else: index arrays
     naming which component slots are inputs/adders/subtractors/negators/
-    DFFs (plus their operand slots and the output probes), the scalar
-    execution parameters, and a snapshot of any faults that were injected
-    on the netlist at lowering time.
+    DFFs (plus their operand slots and the output probes) and the scalar
+    execution parameters.  Faults are never part of a kernel: they live
+    on the netlist or arrive per call as an override schedule.
 
     A kernel is deliberately *dumb data* — numpy arrays and scalars — so
     it is picklable and serializable (:mod:`repro.core.serialize`
     persists kernels as ``.npz`` artifacts keyed by ``fingerprint``).
     Execution is ``FastCircuit(kernel)``.  ``fingerprint`` is the *plan*
     fingerprint: equal fingerprints imply identical circuit structure,
-    hence bit-identical behaviour *between fault-free kernels* — the
-    fault snapshot is not part of the fingerprint (check :attr:`has_faults`;
-    the compile cache refuses fault-bearing artifacts for exactly this
-    reason).
+    hence bit-identical behaviour.
     """
 
     fingerprint: str
@@ -174,14 +191,6 @@ class LoweredKernel:
     dff_idx: np.ndarray
     dff_d: np.ndarray
     probe_idx: np.ndarray
-    # Fault snapshot: stuck outputs as (component slot, value) pairs and
-    # stuck carries as (kind code, per-kind slot, value) triples, where
-    # the kind code indexes CARRY_KINDS.
-    stuck_idx: np.ndarray
-    stuck_val: np.ndarray
-    carry_kind: np.ndarray
-    carry_slot: np.ndarray
-    carry_val: np.ndarray
 
     #: Names of every array field, in declaration order — the contract
     #: between this class and the .npz serializer.
@@ -198,11 +207,6 @@ class LoweredKernel:
         "dff_idx",
         "dff_d",
         "probe_idx",
-        "stuck_idx",
-        "stuck_val",
-        "carry_kind",
-        "carry_slot",
-        "carry_val",
     )
 
     #: Names of every scalar field (the .npz JSON header).
@@ -230,30 +234,10 @@ class LoweredKernel:
             ("sub_idx", "sub_b"),
             ("neg_idx", "neg_b"),
             ("dff_idx", "dff_d"),
-            ("stuck_idx", "stuck_val"),
-            ("carry_kind", "carry_slot"),
-            ("carry_kind", "carry_val"),
         )
         for a, b in pairs:
             if len(getattr(self, a)) != len(getattr(self, b)):
                 raise ValueError(f"kernel fields {a}/{b} disagree in length")
-
-    @property
-    def has_faults(self) -> bool:
-        """True when the lowering-time fault snapshot is non-empty."""
-        return bool(len(self.stuck_idx) or len(self.carry_kind))
-
-    def static_overrides(self) -> tuple[list, dict]:
-        """The fault snapshot in the engines' override schedule form."""
-        stuck_out = [
-            (int(i), int(v)) for i, v in zip(self.stuck_idx, self.stuck_val)
-        ]
-        carry: dict[str, list[tuple[int, int]]] = {k: [] for k in CARRY_KINDS}
-        for kind, slot, value in zip(
-            self.carry_kind, self.carry_slot, self.carry_val
-        ):
-            carry[CARRY_KINDS[int(kind)]].append((int(slot), int(value)))
-        return stuck_out, carry
 
     def equivalent(self, other: "LoweredKernel") -> bool:
         """Field-by-field equality (arrays compared element-wise)."""
@@ -267,6 +251,37 @@ class LoweredKernel:
         return True
 
 
+def check_overrides(
+    overrides: tuple[Sequence, Mapping], kernel: LoweredKernel
+) -> None:
+    """Raise ``ValueError`` unless the engines can apply ``overrides``
+    to ``kernel``.
+
+    The carry kinds must be exactly :data:`CARRY_KINDS`, every stuck
+    slot must lie in ``[0, kernel.size)``, every carry slot below its
+    kind's component count, and every value must be 0 or 1.  A schedule
+    taken from a netlist the kernel was lowered from always passes; the
+    shard server checks each schedule a FAULT frame brings before
+    keeping it.
+    """
+    stuck_out, carry = overrides
+    if set(carry) != set(CARRY_KINDS):
+        raise ValueError(
+            f"carry kinds must be exactly {CARRY_KINDS}, got {sorted(carry)}"
+        )
+    counts = (len(kernel.add_idx), len(kernel.sub_idx), len(kernel.neg_idx))
+    groups = [("stuck output", stuck_out, kernel.size)] + [
+        (f"{kind} carry", carry[kind], count)
+        for kind, count in zip(CARRY_KINDS, counts)
+    ]
+    for name, pairs, limit in groups:
+        for slot, value in pairs:
+            if not 0 <= slot < limit:
+                raise ValueError(f"{name} slot {slot} is outside [0, {limit})")
+            if value not in (0, 1):
+                raise ValueError(f"{name} value {value} is not 0 or 1")
+
+
 def _lower_with_maps(
     circuit: CompiledCircuit,
 ) -> tuple[LoweredKernel, dict[int, int], dict[int, tuple[str, int]]]:
@@ -274,8 +289,8 @@ def _lower_with_maps(
 
     The maps (``id(component) -> flat slot`` and ``id(component) ->
     (carry kind, per-kind slot)``) let a :class:`FastCircuit` bound to
-    the netlist translate *later* fault injections into engine
-    overrides; they are deliberately not part of the kernel, which must
+    the netlist translate its injected faults into engine overrides on
+    every call; they are deliberately not part of the kernel, which must
     stay object-free.
     """
     STAGES.increment("lower")
@@ -297,29 +312,6 @@ def _lower_with_maps(
     for kind, group in zip(CARRY_KINDS, (adders, subs, negs)):
         for k, c in enumerate(group):
             carry_slot[id(c)] = (kind, k)
-
-    stuck_idx: list[int] = []
-    stuck_val: list[int] = []
-    carry_kind: list[int] = []
-    carry_slots: list[int] = []
-    carry_val: list[int] = []
-    for component, kind, value in circuit.netlist.iter_faults():
-        if kind == "stuck_output":
-            stuck_idx.append(index[id(component)])
-            stuck_val.append(value)
-        else:
-            slot = carry_slot.get(id(component))
-            if slot is None:
-                # The object engine fails on this too (no carry register
-                # to force); fail loudly rather than silently lowering a
-                # fault-free kernel and corrupting campaign coverage.
-                raise ValueError(
-                    f"stuck_carry fault on {type(component).__name__} "
-                    f"{component.name!r}, which has no carry register"
-                )
-            carry_kind.append(CARRY_KINDS.index(slot[0]))
-            carry_slots.append(slot[1])
-            carry_val.append(value)
 
     kernel = LoweredKernel(
         fingerprint=circuit.digest,
@@ -344,11 +336,6 @@ def _lower_with_maps(
         probe_idx=np.array(
             [index[id(p.src)] for p in circuit.column_probes], dtype=np.int64
         ),
-        stuck_idx=np.array(stuck_idx, dtype=np.int64),
-        stuck_val=np.array(stuck_val, dtype=np.int64),
-        carry_kind=np.array(carry_kind, dtype=np.int64),
-        carry_slot=np.array(carry_slots, dtype=np.int64),
-        carry_val=np.array(carry_val, dtype=np.int64),
     )
     return kernel, index, carry_slot
 
@@ -356,10 +343,18 @@ def _lower_with_maps(
 def lower(circuit: CompiledCircuit) -> LoweredKernel:
     """Lower a compiled netlist to its flat executable arrays.
 
-    A pure function of the circuit's structure plus its currently
-    injected faults; the result is position-independent data, ready to
-    pickle, persist, or execute via ``FastCircuit(kernel)``.
+    A pure function of the circuit's structure; the result is
+    position-independent data, ready to pickle, persist, or execute via
+    ``FastCircuit(kernel)``.  A kernel carries no faults, so lowering a
+    faulted netlist raises ``ValueError`` rather than silently drop them.
     """
+    if next(circuit.netlist.iter_faults(), None) is not None:
+        raise ValueError(
+            "cannot lower a faulted netlist: a kernel carries no faults. "
+            "Execute it with FastCircuit(circuit), which reads the live "
+            "faults, or lower the fault-free netlist and pass the schedule "
+            "per call with overrides="
+        )
     kernel, _, _ = _lower_with_maps(circuit)
     return kernel
 
@@ -375,7 +370,8 @@ class FastCircuit:
       next call — the behaviour verification campaigns rely on;
     * ``FastCircuit(kernel)`` executes a pre-lowered kernel (from the
       compile cache's disk artifacts or a pickled shard) with no netlist
-      anywhere in the process; the kernel's fault snapshot applies.
+      anywhere in the process; it runs fault-free unless a call passes
+      ``overrides``.
     """
 
     ENGINES = ("scalar", "bitplane", "fused")
@@ -476,27 +472,27 @@ class FastCircuit:
     @property
     def has_faults(self) -> bool:
         """True when any fault would apply to the next execution."""
-        stuck_out, carry = self.fault_overrides()
-        return bool(stuck_out) or any(carry.values())
+        return overrides_active(self.fault_overrides())
 
     # -- fault plumbing -----------------------------------------------------
 
-    def fault_overrides(self) -> tuple[list, dict]:
+    def fault_overrides(self) -> tuple[Sequence, Mapping]:
         """The fault set to apply on the next execution.
 
         Returns ``(stuck_out, carry)`` where ``stuck_out`` is a list of
         ``(component index, value)`` applied post-commit, and ``carry``
-        maps ``"add"/"sub"/"neg"`` to ``(slot, value)`` lists applied to
-        the packed carry planes before each compute — the same schedule
-        the object engine uses in :meth:`Netlist.step`.
+        maps each of :data:`CARRY_KINDS` to ``(slot, value)`` lists
+        applied to the packed carry planes before each compute — the
+        same schedule the object engine uses in :meth:`Netlist.step`.
 
         With a live netlist bound, the netlist's *current* injected
-        faults are translated; a bare kernel replays its lowering-time
-        snapshot.  Either form is plain data and can be handed to a
-        kernel-only engine's :meth:`multiply_batch` as ``overrides``.
+        faults are translated; a bare kernel has none and returns
+        :data:`EMPTY_OVERRIDES`.  The schedule is plain data and can be
+        handed to a kernel-only engine's :meth:`multiply_batch` as
+        ``overrides``.
         """
         if self.netlist is None:
-            return self.kernel.static_overrides()
+            return EMPTY_OVERRIDES
         stuck_out: list[tuple[int, int]] = []
         carry: dict[str, list[tuple[int, int]]] = {k: [] for k in CARRY_KINDS}
         for component, kind, value in self.netlist.iter_faults():
@@ -529,7 +525,7 @@ class FastCircuit:
         self,
         vectors: np.ndarray,
         engine: str = "bitplane",
-        overrides: tuple[list, dict] | None = None,
+        overrides: tuple[Sequence, Mapping] | None = None,
     ) -> np.ndarray:
         """Evaluate a ``(B, rows)`` batch of vectors; returns ``(B, cols)``.
 
@@ -558,10 +554,9 @@ class FastCircuit:
             raise ValueError(f"engine must be one of {self.ENGINES}, got {engine!r}")
         batch = validate_batch(vectors, self.kernel.rows, self.kernel.input_width)
         if engine == "fused":
-            stuck_out, carry = (
+            if overrides_active(
                 overrides if overrides is not None else self.fault_overrides()
-            )
-            if stuck_out or any(carry.values()):
+            ):
                 raise ValueError(
                     "engine='fused' executes the static shift-add schedule and "
                     "cannot apply faults; use a gate-level engine "
@@ -615,7 +610,7 @@ class FastCircuit:
 
     @staticmethod
     def _fault_index_arrays(
-        stuck_out: list, carry_faults: dict, values: np.ndarray
+        stuck_out: Sequence, carry_faults: Mapping, values: np.ndarray
     ) -> tuple:
         """Faults as fancy-index ``(slots, values)`` pairs, or ``None``s.
 
@@ -632,15 +627,12 @@ class FastCircuit:
             slots = np.array([s for s, _ in pairs], dtype=np.int64)
             return slots, values[[v for _, v in pairs]]
 
-        return (
-            pack(stuck_out),
-            pack(carry_faults["add"]),
-            pack(carry_faults["sub"]),
-            pack(carry_faults["neg"]),
+        return (pack(stuck_out),) + tuple(
+            pack(carry_faults[kind]) for kind in CARRY_KINDS
         )
 
     def _run_dense(
-        self, batch: np.ndarray, overrides: tuple[list, dict] | None
+        self, batch: np.ndarray, overrides: tuple[Sequence, Mapping] | None
     ) -> np.ndarray:
         lanes = batch.shape[0]
         cycles = self.run_cycles
@@ -694,7 +686,7 @@ class FastCircuit:
     # -- bit-plane engine ----------------------------------------------------
 
     def _run_bitplane(
-        self, batch: np.ndarray, overrides: tuple[list, dict] | None
+        self, batch: np.ndarray, overrides: tuple[Sequence, Mapping] | None
     ) -> np.ndarray:
         lanes = batch.shape[0]
         cycles = self.run_cycles

@@ -41,11 +41,11 @@ coefficients — the matrix column the hardware was compiled from.  Each
 coefficient is then re-encoded in canonical signed-digit (NAF) form to
 produce the ``(row, shift, sign)`` schedule.
 
-Faults break linearity, so fusion refuses fault-bearing kernels and the
-fused engine refuses per-call overrides: fault campaigns keep running on
-the gate-level engines (the verification oracle), and the serve layer
-falls back to ``bitplane`` automatically whenever a deployment has live
-faults (see :func:`repro.hwsim.fast.resolve_engine`).
+Faults break linearity, and a kernel never carries any, so the fused
+engine refuses live faults and per-call overrides: fault campaigns keep
+running on the gate-level engines (the verification oracle), and the
+serve layer falls back to ``bitplane`` automatically whenever a
+deployment has live faults (see :func:`repro.hwsim.fast.resolve_engine`).
 """
 
 from __future__ import annotations
@@ -175,9 +175,8 @@ class FusedKernel:
     Like :class:`~repro.hwsim.fast.LoweredKernel`, a fused kernel is
     deliberately *dumb data*: picklable and serializable
     (:func:`repro.core.serialize.fused_to_npz`).  ``fingerprint`` is the
-    plan fingerprint of the kernel it was fused from; fused kernels are
-    always fault-free by construction (:func:`fuse` refuses fault
-    snapshots).
+    plan fingerprint of the kernel it was fused from; like the kernel,
+    it carries no faults.
     """
 
     fingerprint: str
@@ -259,17 +258,11 @@ def fuse(kernel: "LoweredKernel") -> FusedKernel:
     output probe (deflated by the decode window) is that output's exact
     integer coefficient per row, re-encoded as CSD terms.
 
-    Raises ``ValueError`` for kernels with a fault snapshot (a stuck
-    gate is not a linear map — run those on the gate-level engines) and
-    for topologies this builder never produces (unordered operands,
-    coefficients not divisible by the decode window).
+    Raises ``ValueError`` for topologies this builder never produces
+    (unordered operands, coefficients not divisible by the decode
+    window).
     """
     STAGES.increment("fuse")
-    if kernel.has_faults:
-        raise ValueError(
-            "cannot fuse a kernel with a fault snapshot; faults break the "
-            "static shift-add schedule — execute it on a gate-level engine"
-        )
     if len(kernel.input_idx) != kernel.rows:
         raise ValueError(
             f"kernel has {len(kernel.input_idx)} input slots for "

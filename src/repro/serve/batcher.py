@@ -10,9 +10,10 @@ queued request has waited ``max_delay_s`` — the classic
 throughput-versus-tail-latency deadline found in inference servers.
 
 The batcher is engine-agnostic: it owns no circuit, only an ``execute``
-callable mapping a ``(B, rows)`` array to a ``(B, cols)`` array (or to
-``(array, label)``, the label naming the executor that ran the batch),
-which the service binds to a :class:`~repro.serve.shards.ShardedMultiplier`.
+callable mapping a ``(B, rows)`` array to ``(rows, label)`` — the
+``(B, cols)`` results and the label naming the executor that ran the
+batch — which the service binds to a
+:class:`~repro.serve.shards.ShardedMultiplier`.
 Execution runs in the event loop's default thread-pool executor so the
 loop keeps accepting (and coalescing) requests while a batch simulates.
 """
@@ -65,7 +66,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        execute: Callable[[np.ndarray], np.ndarray],
+        execute: Callable[..., tuple[np.ndarray, str]],
         max_batch: int = 64,
         max_delay_s: float = 0.002,
         validate: Callable[[np.ndarray], None] | None = None,
@@ -361,6 +362,7 @@ class MicroBatcher:
             if self._tracer is not None:
                 coalesce = self._trace_batch(batch, reason, start)
         results = error = None
+        label = ""
         try:
             # Inside the try so even a shape mismatch at stack time fails
             # every waiting future instead of leaving them pending forever.
@@ -374,12 +376,9 @@ class MicroBatcher:
                 # (and ``execute(vectors, trace=...)``) callables.
                 kwargs["deadline_s"] = budget
             run = functools.partial(self._execute, vectors, **kwargs)
-            results = await loop.run_in_executor(None, run)
+            results, label = await loop.run_in_executor(None, run)
         except Exception as exc:  # propagate to every caller in the batch
             error = exc
-        label = ""
-        if isinstance(results, tuple):
-            results, label = results
         if start is not None:
             # The batch's one coalesce reading: flush until the results
             # are back on the loop, thread-pool hop included.  It feeds

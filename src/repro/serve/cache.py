@@ -193,14 +193,9 @@ def persist_artifacts(
     so their live netlists are private) but still need the fleet's
     artifact store populated — remote shard servers only ever load by
     digest, never receive kernels over the wire.  Enforces the store
-    invariant the cache itself keeps: artifacts are fault-free and the
-    kernel was lowered from exactly this plan.
+    invariant the cache itself keeps: the kernel was lowered from
+    exactly this plan.
     """
-    if kernel.has_faults:
-        raise ValueError(
-            "refusing to persist a fault-bearing kernel into an artifact "
-            "store; stores hold only fault-free compiles"
-        )
     payload, fingerprint = _plan_payload(key, plan)
     if kernel.fingerprint != fingerprint:
         raise ValueError(
@@ -617,13 +612,6 @@ class CompileCache:
             json.JSONDecodeError,
             zipfile.BadZipFile,
         ):
-            return None
-        if kernel.has_faults:
-            # The cache only ever writes fault-free kernels, and the
-            # fingerprint (the *plan* fingerprint) deliberately does not
-            # cover the fault snapshot — so a fault-bearing artifact here
-            # is tampering or a foreign experiment's file.  Serving it
-            # would silently corrupt results; rebuild instead.
             return None
         self._touch(key)
         return kernel

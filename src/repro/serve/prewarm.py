@@ -60,9 +60,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.stages import STAGES
-from repro.core.tiling import plan_column_tiles
 from repro.serve.cache import CompileCache
-from repro.serve.shards import even_column_shards
+from repro.serve.shards import column_ranges
 from repro.workloads.matrices import element_sparse_matrix
 
 __all__ = ["load_manifest", "workload_matrix", "prewarm", "main"]
@@ -123,19 +122,6 @@ def workload_matrix(spec: dict[str, Any]) -> np.ndarray:
     )
 
 
-def _shard_ranges(
-    spec: dict[str, Any], matrix: np.ndarray, scheme: str
-) -> list[tuple[int, int]]:
-    if "shards" in spec and "lut_budget" in spec:
-        raise ValueError(
-            f"workload {spec.get('name', '?')!r}: pass either 'shards' or "
-            "'lut_budget', not both"
-        )
-    if "lut_budget" in spec:
-        return plan_column_tiles(matrix, int(spec["lut_budget"]), scheme=scheme)
-    return even_column_shards(matrix.shape[1], int(spec.get("shards", 1)))
-
-
 def prewarm(
     manifest: dict[str, Any],
     store: str | pathlib.Path | None = None,
@@ -163,7 +149,15 @@ def prewarm(
     for spec in manifest["workloads"]:
         matrix = workload_matrix(spec)
         options = {k: spec.get(k, defaults[k]) for k in _DEFAULTS}
-        ranges = _shard_ranges(spec, matrix, str(options["scheme"]))
+        try:
+            ranges = column_ranges(
+                matrix,
+                spec.get("shards"),
+                spec.get("lut_budget"),
+                str(options["scheme"]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"workload {spec.get('name', '?')!r}: {exc}") from exc
         keys: list[dict[str, Any]] = []
         for start, stop in ranges:
             entry = cache.get(matrix[:, start:stop], **options)

@@ -30,7 +30,7 @@ Two execution backends:
   comes from the cache's directory or ``store=``) and then streams
   batches as binary frames.  Live faults ride along as FAULT-frame
   override schedules (the shard's per-call ``fault_overrides``
-  snapshot), so campaigns stay bit-exact over the network.  A shard
+  schedule), so campaigns stay bit-exact over the network.  A shard
   whose host times out is retried once on a fresh connection and then
   served *locally* (the compiled engine is still in this process) —
   degraded latency, never a failed batch.  Recovery is automatic: once
@@ -76,6 +76,7 @@ __all__ = [
     "Shard",
     "ShardedMultiplier",
     "even_column_shards",
+    "column_ranges",
     "SHARD_BACKENDS",
     "SERVE_ENGINES",
 ]
@@ -97,6 +98,24 @@ def even_column_shards(cols: int, shards: int) -> list[tuple[int, int]]:
         ranges.append((start, stop))
         start = stop
     return ranges
+
+
+def column_ranges(
+    matrix: np.ndarray, shards: int | None, lut_budget: int | None, scheme: str
+) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` column split of one deployment.
+
+    ``lut_budget`` tiles the columns under a LUT budget
+    (:func:`repro.core.tiling.plan_column_tiles`); otherwise ``shards``
+    (``None`` meaning one) near-equal ranges.  Naming both raises.  The
+    deploy and the store prewarm both split through here, so a prewarmed
+    store holds exactly the keys the deploy will ask for.
+    """
+    if shards is not None and lut_budget is not None:
+        raise ValueError("pass either shards or lut_budget, not both")
+    if lut_budget is not None:
+        return plan_column_tiles(matrix, int(lut_budget), scheme=scheme)
+    return even_column_shards(matrix.shape[1], int(shards) if shards else 1)
 
 
 @dataclass
@@ -208,8 +227,7 @@ class ShardedMultiplier:
         arr = np.asarray(matrix, dtype=np.int64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"expected a non-empty 2-D matrix, got shape {arr.shape}")
-        if shards is not None and lut_budget is not None:
-            raise ValueError("pass either shards or lut_budget, not both")
+        ranges = column_ranges(arr, shards, lut_budget, scheme)
         if backend not in SHARD_BACKENDS:
             raise ValueError(
                 f"backend must be one of {SHARD_BACKENDS}, got {backend!r}"
@@ -236,10 +254,6 @@ class ShardedMultiplier:
         self.tracer = tracer
         self.recorder = recorder
         self.profiler = profiler
-        if lut_budget is not None:
-            ranges = plan_column_tiles(arr, lut_budget, scheme=scheme)
-        else:
-            ranges = even_column_shards(arr.shape[1], shards if shards else 1)
         # The fleet resolves kernels from store_dir, so a remote deploy
         # must guarantee its shards' artifacts land *there* — which the
         # cache only does when it persists to that same directory.
@@ -396,7 +410,7 @@ class ShardedMultiplier:
         validate_batch(arr[None, :], self.rows, self.input_width)
 
     def has_faults(self) -> bool:
-        """True when any shard has live or snapshotted faults pending."""
+        """True when any shard has live netlist faults pending."""
         return any(s.fast.has_faults for s in self.shards)
 
     def resolve_engine(self, engine: str = "auto") -> str:
@@ -504,7 +518,7 @@ class ShardedMultiplier:
     ) -> np.ndarray:
         """One shard's batch over its endpoint, falling back locally.
 
-        The shard's *current* live-fault schedule is snapshotted here
+        The shard's *current* live-fault schedule is taken here
         and synchronized to the server (a FAULT frame only when it
         changed).  A :class:`~repro.cluster.client.RemoteShardError`
         (connect/timeout twice, or an already-unhealthy link) degrades

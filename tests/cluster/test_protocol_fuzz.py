@@ -12,6 +12,9 @@ Two layers of fuzzing, both fully deterministic (seeded RNG):
   out-of-order frame types.  Every case must end in a stable error
   token or a clean disconnect within the socket timeout: a malformed
   peer can never wedge a connection handler.
+* **fault schedules** — well-framed FAULT frames whose override schedule
+  the loaded kernel cannot apply.  The ERROR must come at the FAULT
+  frame, and the connection must keep serving exact products.
 """
 
 import socket
@@ -26,10 +29,13 @@ from repro.cluster.protocol import (
     batch_frame,
     decode_payload,
     encode_frame,
+    encode_overrides,
     frame_array,
     recv_frame,
     send_frame,
 )
+from repro.hwsim.faults import inject_stuck_output
+from repro.serve.cache import CompileCache
 
 _LEN_PREFIX = 4  # uint32 length precedes every payload
 
@@ -235,5 +241,129 @@ class TestLiveServerFuzz:
             ftype, meta, _ = recv_frame(sock)
             assert ftype is FrameType.OK
             assert meta["stats"]["connections"] >= 26
+        finally:
+            sock.close()
+
+
+@pytest.fixture()
+def loaded_server(tmp_path):
+    """A one-server fleet whose store holds one compiled matrix; yields
+    the endpoint, the LOAD meta for it, the matrix and its cache entry."""
+    store = tmp_path / "store"
+    matrix = np.random.default_rng(3).integers(-20, 21, size=(6, 4))
+    entry = CompileCache(directory=store).get(matrix)
+    key = entry.key
+    load = {
+        "matrix_digest": key.matrix_digest,
+        "input_width": key.input_width,
+        "scheme": key.scheme,
+        "tree_style": key.tree_style,
+        "start": 0,
+        "stop": matrix.shape[1],
+    }
+    with ClusterController(store) as controller:
+        controller.start_local_fleet(1)
+        yield controller.endpoints[0], load, matrix, entry
+
+
+_EMPTY_CARRY = {"add": [], "sub": [], "neg": []}
+
+#: Well-framed schedules no kernel engine can apply.
+_BAD_SCHEDULES = {
+    "unknown-carry-kind": {"stuck": [], "carry": {"mul": [[0, 1]]}},
+    "missing-carry-kinds": {"stuck": [], "carry": {}},
+    "stuck-slot-out-of-range": {"stuck": [[10**6, 1]], "carry": _EMPTY_CARRY},
+    "negative-stuck-slot": {"stuck": [[-1, 1]], "carry": _EMPTY_CARRY},
+    "stuck-value-not-a-bit": {"stuck": [[0, 7]], "carry": _EMPTY_CARRY},
+    "carry-slot-out-of-range": {
+        "stuck": [],
+        "carry": {**_EMPTY_CARRY, "add": [[10**6, 0]]},
+    },
+}
+
+
+class TestFaultScheduleChecks:
+    def _hello(self, endpoint):
+        sock = _connect(endpoint)
+        send_frame(sock, FrameType.HELLO, {"version": PROTOCOL_VERSION})
+        recv_frame(sock)
+        return sock
+
+    @pytest.mark.parametrize("name", sorted(_BAD_SCHEDULES))
+    def test_bad_schedule_is_refused_at_the_fault_frame(self, loaded_server, name):
+        endpoint, load, matrix, _ = loaded_server
+        sock = self._hello(endpoint)
+        try:
+            send_frame(sock, FrameType.LOAD, load)
+            ftype, _, _ = recv_frame(sock)
+            assert ftype is FrameType.OK
+            send_frame(sock, FrameType.FAULT, {"action": "set", **_BAD_SCHEDULES[name]})
+            ftype, meta, _ = recv_frame(sock)
+            assert ftype is FrameType.ERROR
+            assert meta["error"] == "protocol"
+            assert "loaded kernel" in meta["message"]
+            # The refused schedule was never kept: the same connection
+            # still returns the fault-free product, on every engine.
+            vectors = np.random.default_rng(4).integers(-128, 128, size=(5, 6))
+            for engine in ("auto", "bitplane"):
+                sock.sendall(batch_frame(vectors, engine))
+                ftype, meta, blob = recv_frame(sock)
+                assert ftype is FrameType.RESULT, meta
+                assert np.array_equal(frame_array(meta, blob), vectors @ matrix)
+            send_frame(sock, FrameType.STATS, {})
+            _, meta, _ = recv_frame(sock)
+            stats = meta["stats"]
+            assert stats["faults_set"] == 0
+            assert stats["errors"] == 1 and stats["executes"] == 2
+        finally:
+            sock.close()
+
+    def test_fault_before_load_is_a_stable_refusal(self, loaded_server):
+        endpoint, load, _, _ = loaded_server
+        sock = self._hello(endpoint)
+        try:
+            for action in ("set", "clear"):
+                send_frame(
+                    sock,
+                    FrameType.FAULT,
+                    {"action": action, "stuck": [], "carry": _EMPTY_CARRY},
+                )
+                meta = _expect_error_or_disconnect(sock)
+                assert meta is not None and meta["error"] == "not-loaded"
+            # The refusals left the connection usable.
+            send_frame(sock, FrameType.LOAD, load)
+            ftype, _, _ = recv_frame(sock)
+            assert ftype is FrameType.OK
+        finally:
+            sock.close()
+
+    def test_schedule_from_the_netlist_is_kept(self, loaded_server):
+        """The check refuses only what the kernel cannot apply: a live
+        fault taken from the compiled netlist is acknowledged and
+        replayed bit-exactly by the server."""
+        endpoint, load, _, entry = loaded_server
+        circuit = entry.circuit
+        injection = inject_stuck_output(
+            circuit.netlist, circuit.column_probes[1].src, 1
+        )
+        vectors = np.random.default_rng(5).integers(-128, 128, size=(5, 6))
+        try:
+            overrides = entry.fast.fault_overrides()
+            faulty = entry.fast.multiply_batch(vectors, engine="bitplane")
+        finally:
+            injection.revert()
+        sock = self._hello(endpoint)
+        try:
+            send_frame(sock, FrameType.LOAD, load)
+            recv_frame(sock)
+            send_frame(
+                sock, FrameType.FAULT, {"action": "set", **encode_overrides(overrides)}
+            )
+            ftype, meta, _ = recv_frame(sock)
+            assert ftype is FrameType.OK and meta["active"] is True
+            sock.sendall(batch_frame(vectors, "auto"))
+            ftype, meta, blob = recv_frame(sock)
+            assert ftype is FrameType.RESULT and meta["engine"] == "bitplane"
+            assert np.array_equal(frame_array(meta, blob), faulty)
         finally:
             sock.close()

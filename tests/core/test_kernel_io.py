@@ -3,9 +3,8 @@
 The ``.npz`` lowered-kernel artifact is the deployment unit of the
 staged pipeline, so the load-bearing property is end-to-end: a kernel
 written to disk and read back must execute bit-exactly with the circuit
-it was lowered from — across recoding schemes, sparsity levels,
->62-bit result widths, and with injected faults (which are snapshotted
-into the kernel, i.e. faults *survive serialization*).
+it was lowered from — across recoding schemes, sparsity levels and
+>62-bit result widths.  Faults are never part of the artifact.
 """
 
 import json
@@ -22,8 +21,6 @@ from repro.core.serialize import (
 )
 from repro.hwsim.builder import build_circuit
 from repro.hwsim.fast import FastCircuit, lower
-from repro.hwsim.faults import inject_stuck_carry, inject_stuck_output
-from repro.hwsim.components import SerialAdder
 
 
 def _circuit(seed=0, rows=12, cols=9, scheme="csd", input_width=8, sparsity=0.6):
@@ -79,33 +76,6 @@ class TestRoundTrip:
         assert got.dtype == object
         assert int(got[0, 0]) == want and int(got[0, 1]) == want
         assert abs(want) > 2**62
-
-    def test_faults_survive_serialization(self, tmp_path):
-        """The chosen fault policy: faults injected before lowering are
-        part of the artifact and replay after a load in a process that
-        never saw the netlist."""
-        matrix, circuit, vectors = _circuit(seed=4)
-        bound = FastCircuit.from_compiled(circuit)
-        golden = bound.multiply_batch(vectors)
-        inject_stuck_output(circuit.netlist, circuit.column_probes[0].src, 1)
-        adder = next(
-            c for c in circuit.netlist.components if isinstance(c, SerialAdder)
-        )
-        inject_stuck_carry(circuit.netlist, adder, 0)
-        faulty = bound.multiply_batch(vectors)
-        assert not np.array_equal(faulty, golden)
-        path = tmp_path / "faulty.kernel.npz"
-        kernel_to_npz(lower(circuit), path)
-        loaded = kernel_from_npz(path)
-        assert loaded.has_faults
-        for engine in FastCircuit.FAULT_CAPABLE_ENGINES:
-            assert np.array_equal(
-                FastCircuit(loaded).multiply_batch(vectors, engine=engine), faulty
-            )
-        # The fused engine is linear-only: a fault-bearing kernel must be
-        # refused loudly, never silently simulated fault-free.
-        with pytest.raises(ValueError, match="fused"):
-            FastCircuit(loaded).multiply_batch(vectors, engine="fused")
 
 
 class TestArtifactValidation:

@@ -17,7 +17,7 @@ from repro.core.bits import signed_range
 from repro.core.stages import STAGES
 from repro.core.plan import plan_matrix
 from repro.hwsim.builder import build_circuit
-from repro.hwsim.fast import ALL_ENGINES, FastCircuit, lower
+from repro.hwsim.fast import ALL_ENGINES, FastCircuit
 from repro.hwsim.faults import inject_stuck_output
 from repro.hwsim.fused import FusedCircuit, FusedKernel, csd_terms, fuse
 
@@ -70,15 +70,6 @@ class TestScheduleRecovery:
         fast.multiply_batch(vectors, engine="fused")
         fast.multiply_batch(vectors, engine="fused")
         assert STAGES.delta(before).get("fuse") == 1
-
-    def test_fuse_refuses_fault_snapshots(self):
-        rng = np.random.default_rng(5)
-        circuit = _compiled(_matrix(rng, (6, 5), 0.5))
-        inject_stuck_output(circuit.netlist, circuit.column_probes[0].src, 1)
-        kernel = lower(circuit)
-        assert kernel.has_faults
-        with pytest.raises(ValueError, match="fault"):
-            fuse(kernel)
 
     def test_attached_fused_kernel_must_match_fingerprint(self):
         rng = np.random.default_rng(6)

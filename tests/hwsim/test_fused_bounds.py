@@ -8,7 +8,9 @@ build kernels whose planned width is exactly 24/25, 53/54 and 62/63,
 drive them with the inputs that reach ``S`` — each ``a_i`` at its min
 or max, chosen by the sign of ``V_ij`` — and compare every product with
 ``gemm_exact``.  A kernel that declares a narrower width than its fold
-must be refused, never run inexactly.
+must be refused, never run inexactly.  The same edge matrices, deployed
+through column shards, must stay exact when the shards straddle a dtype
+edge and resolve to different executors (``fused:mixed``).
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.baselines.reference import gemm_exact
 from repro.core.bits import signed_range
 from repro.core.plan import plan_matrix
 from repro.hwsim.fused import FusedCircuit, FusedKernel, csd_terms
+from repro.serve.shards import ShardedMultiplier
 
 #: (result_width, compute dtype, the dtype's exact bits).
 EDGES = [
@@ -152,6 +155,29 @@ class TestBoundEdges:
         assert np.array_equal(
             FusedCircuit(kernel).multiply_batch(vectors), gemm_exact(matrix, vectors)
         )
+
+
+class TestShardedBoundEdges:
+    @settings(max_examples=100, deadline=None)
+    @given(edge_cases(), st.data())
+    def test_sharded_edge_widths_are_exact(self, case, data):
+        """Each shard plans its own result width, so a shard without the
+        edge column runs a narrower dtype than the one holding it; the
+        concatenated product must still be exact on the fused and the
+        bit-plane engines."""
+        _, _, _, input_width, matrix, batch, seed = case
+        shards = data.draw(st.integers(1, min(3, matrix.shape[1])))
+        vectors = _extreme_batch(matrix, input_width, batch, seed)
+        want = gemm_exact(matrix, vectors)
+        with ShardedMultiplier(
+            matrix, shards=shards, input_width=input_width, scheme="pn"
+        ) as sharded:
+            assert len(sharded.shards) == shards
+            for engine in ("auto", "bitplane"):
+                out = sharded.multiply_batch(vectors, engine=engine)
+                assert out.shape == (batch, matrix.shape[1])
+                assert np.array_equal(out, want)
+            assert sharded.resolve_executor("auto").startswith("fused:")
 
 
 @pytest.mark.parametrize("width", [24, 25, 53, 54, 62, 63])

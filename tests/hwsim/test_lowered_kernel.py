@@ -2,9 +2,9 @@
 kernel-only execution via ``FastCircuit(kernel)``.
 
 The staged-pipeline contract: a kernel is pure data (picklable, no
-component objects), lowering is a pure function of circuit structure
-plus injected faults, and a bare kernel executes bit-exactly with the
-netlist-bound engine it was lowered from.
+component objects, no faults), lowering is a pure function of circuit
+structure, and a bare kernel executes bit-exactly with the netlist-bound
+engine it was lowered from.
 """
 
 import pickle
@@ -16,7 +16,14 @@ from repro.core.plan import plan_matrix
 from repro.core.stages import STAGES
 from repro.hwsim.builder import build_circuit
 from repro.hwsim.components import SerialAdder
-from repro.hwsim.fast import FastCircuit, LoweredKernel, lower
+from repro.hwsim.fast import (
+    CARRY_KINDS,
+    EMPTY_OVERRIDES,
+    FastCircuit,
+    LoweredKernel,
+    lower,
+    overrides_active,
+)
 from repro.hwsim.faults import inject_stuck_carry, inject_stuck_output
 
 
@@ -47,7 +54,6 @@ class TestLowering:
         assert kernel.run_cycles == circuit.run_cycles
         assert kernel.decode_delta == circuit.decode_delta
         assert kernel.size == len(circuit.netlist)
-        assert not kernel.has_faults
 
     def test_lowering_is_deterministic(self):
         _, circuit, _ = _compiled()
@@ -111,25 +117,38 @@ class TestKernelExecution:
 
 
 class TestFaultSnapshotAndOverrides:
-    def test_faults_present_at_lowering_are_snapshotted(self):
+    def test_lower_refuses_faulted_netlist(self):
+        """A kernel carries no faults, so lowering a faulted netlist
+        raises instead of dropping them; ``FastCircuit(circuit)`` still
+        lowers the structure and reads the live faults."""
         matrix, circuit, vectors = _compiled(seed=5)
-        bound = FastCircuit.from_compiled(circuit)
-        golden = bound.multiply_batch(vectors)
+        golden = vectors @ matrix
         inject_stuck_output(circuit.netlist, circuit.column_probes[0].src, 1)
         adder = next(
             c for c in circuit.netlist.components if isinstance(c, SerialAdder)
         )
         inject_stuck_carry(circuit.netlist, adder, 1)
-        kernel = lower(circuit)
-        assert kernel.has_faults
+        before = STAGES.snapshot()
+        with pytest.raises(ValueError, match=r"FastCircuit\(circuit\).*overrides="):
+            lower(circuit)
+        assert STAGES.delta(before).get("lower", 0) == 0
+        bound = FastCircuit(circuit)
+        assert bound.has_faults
         faulty = bound.multiply_batch(vectors)
         assert not np.array_equal(faulty, golden)
-        # The bare kernel replays the snapshot with no netlist anywhere.
-        assert np.array_equal(FastCircuit(kernel).multiply_batch(vectors), faulty)
+        # The other way: lower the fault-free netlist, pass the faults
+        # per call.
+        overrides = bound.fault_overrides()
+        circuit.netlist.clear_faults()
+        bare = FastCircuit(lower(circuit))
+        assert np.array_equal(bare.multiply_batch(vectors), golden)
+        assert np.array_equal(
+            bare.multiply_batch(vectors, overrides=overrides), faulty
+        )
 
     def test_live_faults_beat_stale_snapshot_on_bound_engine(self):
         """A netlist-bound FastCircuit tracks the netlist's *current*
-        faults; the kernel snapshot only matters for bare kernels."""
+        faults, not the ones present when it was built."""
         matrix, circuit, vectors = _compiled(seed=6)
         bound = FastCircuit.from_compiled(circuit)
         golden = bound.multiply_batch(vectors)
@@ -141,9 +160,19 @@ class TestFaultSnapshotAndOverrides:
         assert np.array_equal(bound.multiply_batch(vectors), golden)
         assert not np.array_equal(faulty, golden)
 
+    def test_bare_kernel_shares_the_immutable_empty_schedule(self):
+        _, circuit, _ = _compiled()
+        stuck_out, carry = FastCircuit(lower(circuit)).fault_overrides()
+        assert (stuck_out, carry) == EMPTY_OVERRIDES
+        assert FastCircuit(lower(circuit)).fault_overrides() is EMPTY_OVERRIDES
+        assert tuple(carry) == CARRY_KINDS
+        assert not overrides_active(EMPTY_OVERRIDES)
+        with pytest.raises(TypeError):
+            carry["add"] = [(0, 1)]
+
     def test_explicit_overrides_replay_on_bare_kernel(self):
-        """The process-shard fault channel: overrides snapshotted from a
-        live engine reproduce its behaviour on a fault-free kernel."""
+        """The remote-shard fault channel: overrides taken from a live
+        engine reproduce its behaviour on a fault-free kernel."""
         matrix, circuit, vectors = _compiled(seed=7)
         clean_kernel = lower(circuit)
         bound = FastCircuit.from_compiled(circuit)
@@ -162,8 +191,8 @@ class TestFaultSnapshotAndOverrides:
         # The fused engine refuses non-empty overrides (linear-only)...
         with pytest.raises(ValueError, match="fused"):
             bare.multiply_batch(vectors, engine="fused", overrides=overrides)
-        # ...but accepts an explicitly empty override set (the process
-        # shard path always ships one).
+        # ...but accepts an explicitly empty override set (a shard
+        # server's fault-free connection holds one).
         empty = ([], {"add": [], "sub": [], "neg": []})
         assert np.array_equal(
             bare.multiply_batch(vectors, engine="fused", overrides=empty),

@@ -18,8 +18,8 @@ from repro.serve.batcher import BatcherStats, MicroBatcher
 MATRIX = np.arange(20, dtype=np.int64).reshape(5, 4) - 10
 
 
-def _execute(batch: np.ndarray) -> np.ndarray:
-    return np.asarray(batch, dtype=np.int64) @ MATRIX
+def _execute(batch: np.ndarray) -> tuple[np.ndarray, str]:
+    return np.asarray(batch, dtype=np.int64) @ MATRIX, ""
 
 
 def _vectors(n: int, seed=0) -> np.ndarray:

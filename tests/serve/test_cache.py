@@ -181,31 +181,36 @@ class TestDiskPersistence:
         cache = CompileCache(directory=tmp_path)
         assert cache.get(m).source == "compiled"
 
-    def test_fault_bearing_kernel_artifact_is_rejected(self, tmp_path):
-        """The fingerprint covers structure, not the fault snapshot, so
-        the cache must refuse any artifact whose snapshot is non-empty —
-        the cache itself only ever writes fault-free kernels."""
-        from repro.core.serialize import kernel_to_npz
-        from repro.hwsim.fast import lower
-        from repro.hwsim.faults import inject_stuck_output
+    def test_v1_kernel_artifact_is_a_miss_and_rebuilt_at_v2(self, tmp_path):
+        """A store written before the fault snapshot was dropped holds
+        v1 kernels (five extra fault arrays).  The cache must treat one
+        as a miss, rebuild from the intact plan and re-persist at v2."""
+        from repro.core.serialize import KERNEL_FORMAT_VERSION, npz_header
 
         m = _matrix()
-        cache = CompileCache(directory=tmp_path)
-        entry = cache.get(m)
-        circuit = entry.circuit
-        inject_stuck_output(circuit.netlist, circuit.column_probes[0].src, 1)
-        faulty = lower(circuit)
-        assert faulty.fingerprint == entry.fingerprint  # same structure!
-        kernel_to_npz(faulty, tmp_path / entry.key.kernel_filename)
+        entry = CompileCache(directory=tmp_path).get(m)
+        path = tmp_path / entry.key.kernel_filename
+        assert KERNEL_FORMAT_VERSION == 2
+        assert npz_header(path)["format_version"] == 2
+        with np.load(path, allow_pickle=False) as data:
+            entries = {k: data[k] for k in data.files}
+        header = json.loads(str(entries["__header__"][()]))
+        header["format_version"] = 1
+        entries["__header__"] = json.dumps(header)
+        for name in ("stuck_idx", "stuck_val", "carry_kind", "carry_slot", "carry_val"):
+            entries[name] = np.zeros(0, dtype=np.int64)
+        np.savez_compressed(path, **entries)
 
         cold = CompileCache(directory=tmp_path)
+        before = STAGES.snapshot()
         loaded = cold.get(m)
-        # Tampered kernel refused; the intact plan artifact still serves,
-        # so the fallback is a plan-hit rebuild, and the rebuild replaces
-        # the artifact with a clean kernel.
+        # The v1 kernel is refused; the plan artifact still serves, so
+        # the fallback is a plan-hit rebuild that rewrites the kernel.
         assert loaded.source == "disk"
         assert cold.kernel_hits == 0
-        assert not loaded.kernel.has_faults
+        delta = STAGES.delta(before)
+        assert delta.get("plan", 0) == 0 and delta.get("lower") == 1
+        assert npz_header(path)["format_version"] == 2
         rng = np.random.default_rng(6)
         vectors = rng.integers(-128, 128, size=(3, m.shape[0]))
         assert np.array_equal(loaded.fast.multiply_batch(vectors), vectors @ m)
